@@ -50,33 +50,20 @@ STRUCTURAL_ACTIONS = ("split", "join", "scheme-switch")
 #: Action kinds every service supports (admission tuning).
 ADMISSION_ACTIONS = ("capacity",)
 
+#: Every action kind the executor knows how to apply.
+ACTION_KINDS = ADMISSION_ACTIONS + ("update-capacity",) + STRUCTURAL_ACTIONS
+
 
 def service_capabilities(service) -> frozenset:
     """The action kinds the executor may apply to ``service``.
 
-    The multicore fabric keeps replica state in worker-held
-    shared-memory segments and the dynamic service keeps it in
-    lockstep-replayed logs — both get admission tuning only.  The
-    plain in-process :class:`~repro.serve.service.
-    ShardedDictionaryService` supports the full structural set.
+    Each service class declares what it supports in ``CAPABILITIES``
+    (the plain in-process service: the full structural set; the
+    multicore fabric and the dynamic service: admission tuning only).
+    A service that declares nothing gets admission tuning.
     """
-    caps = set(ADMISSION_ACTIONS)
-    # Imported lazily to keep this module importable without spinning
-    # up the multiprocessing / dynamic layers.
-    from repro.serve.dynamic_service import DynamicShardedService
-
-    if isinstance(service, DynamicShardedService):
-        caps.add("update-capacity")
-        return frozenset(caps)
-    from repro.parallel.fabric import ParallelDictionaryService
-
-    if isinstance(service, ParallelDictionaryService):
-        return frozenset(caps)
-    from repro.serve.service import ShardedDictionaryService
-
-    if isinstance(service, ShardedDictionaryService):
-        caps.update(STRUCTURAL_ACTIONS)
-    return frozenset(caps)
+    declared = getattr(service, "CAPABILITIES", ADMISSION_ACTIONS)
+    return frozenset(declared).intersection(ACTION_KINDS)
 
 
 def scheme_name(dictionary) -> str:

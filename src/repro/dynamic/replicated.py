@@ -60,6 +60,7 @@ from contextlib import ExitStack
 import numpy as np
 
 from repro.cellprobe.counters import ProbeCounter
+from repro.dictionaries.replicated import _REPLICA_FAILURES
 from repro.dynamic.dictionary import DynamicLowContentionDictionary
 from repro.dynamic.epoch import EpochManager, EpochPin
 from repro.errors import (
@@ -67,18 +68,10 @@ from repro.errors import (
     HealError,
     ParameterError,
     ReplicaUnavailableError,
-    ReproError,
     VerificationError,
 )
 from repro.heal import charged_to
 from repro.utils.rng import as_generator, spawn_generators
-
-#: Exceptions treated as a *detected* per-replica failure (abstention)
-#: by the voted read paths — same taxonomy as the static replicated
-#: dictionary: corrupted words can drive the honest algorithm to an
-#: out-of-range probe or an impossible decode, and a crash is explicit.
-_REPLICA_FAILURES = (ReproError, OverflowError, IndexError, ValueError)
-
 
 @dataclasses.dataclass
 class DynamicFaultStats:
@@ -511,41 +504,44 @@ class ReplicatedDynamicDictionary:
 
     # -- voted reads -------------------------------------------------------------
 
-    def query(self, x: int, rng=None) -> bool:
-        """Majority vote across live replicas (all probes charged)."""
-        rng = as_generator(rng)
-        votes_true = votes_false = 0
-        for r in self.live_replicas():
+    def _vote(self, voters, read, shape=()) -> np.ndarray:
+        """Majority of ``read(r)`` over ``voters``; ties resolve to False.
+
+        A replica whose read raises one of the detected failures
+        (the static replicated dictionary's ``_REPLICA_FAILURES``)
+        abstains; no voter at all raises
+        :class:`~repro.errors.FaultExhaustedError`.
+        """
+        votes_true = np.zeros(shape, dtype=np.int64)
+        count = 0
+        for r in voters:
             try:
-                answer = self._replicas[r].query(x, rng)
+                answers = read(r)
             except _REPLICA_FAILURES:
                 self.fault_stats.abstentions += 1
                 continue
-            if answer:
-                votes_true += 1
-            else:
-                votes_false += 1
-        if votes_true == 0 and votes_false == 0:
+            votes_true += answers
+            count += 1
+        if count == 0:
             raise FaultExhaustedError(self.replicas)
-        return votes_true > votes_false
+        return votes_true * 2 > count
+
+    def query(self, x: int, rng=None) -> bool:
+        """Majority vote across live replicas (all probes charged)."""
+        rng = as_generator(rng)
+        return bool(self._vote(
+            self.live_replicas(), lambda r: self._replicas[r].query(x, rng),
+        ))
 
     def query_batch(self, xs, rng=None) -> np.ndarray:
         """Vectorized majority vote: each live replica votes on the batch."""
         rng = as_generator(rng)
         xs = np.asarray(xs, dtype=np.int64)
-        votes_true = np.zeros(xs.shape, dtype=np.int64)
-        voters = 0
-        for r in self.live_replicas():
-            try:
-                answers = self._replicas[r].query_batch(xs, rng)
-            except _REPLICA_FAILURES:
-                self.fault_stats.abstentions += 1
-                continue
-            votes_true += answers
-            voters += 1
-        if voters == 0:
-            raise FaultExhaustedError(self.replicas)
-        return votes_true * 2 > voters
+        return self._vote(
+            self.live_replicas(),
+            lambda r: self._replicas[r].query_batch(xs, rng),
+            xs.shape,
+        )
 
     def query_batch_on(self, xs, replica: int, rng=None) -> np.ndarray:
         """Run the batch against one *chosen* replica (serve dispatch).
@@ -604,22 +600,13 @@ class ReplicatedDynamicDictionary:
         """
         rng = as_generator(rng)
         xs = np.asarray(xs, dtype=np.int64)
-        votes_true = np.zeros(xs.shape, dtype=np.int64)
-        voters = 0
-        for r, levels in pin.snapshot["levels"].items():
-            if r in self._crashed:
-                self.fault_stats.crash_hits += 1
-                continue
-            try:
-                answers = _query_batch_levels(levels, xs, rng)
-            except _REPLICA_FAILURES:
-                self.fault_stats.abstentions += 1
-                continue
-            votes_true += answers
-            voters += 1
-        if voters == 0:
-            raise FaultExhaustedError(self.replicas)
-        return votes_true * 2 > voters
+        levels = pin.snapshot["levels"]
+        voters = [r for r in levels if r not in self._crashed]
+        self.fault_stats.crash_hits += len(levels) - len(voters)
+        return self._vote(
+            voters, lambda r: _query_batch_levels(levels[r], xs, rng),
+            xs.shape,
+        )
 
     # -- accounting / introspection ----------------------------------------------
 

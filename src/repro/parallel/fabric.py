@@ -67,7 +67,8 @@ from repro.parallel.shm import (
     verify_header,
 )
 from repro.parallel.worker import unpack_answers
-from repro.serve.service import ShardedDictionaryService, build_service
+from repro.serve.service import ShardedDictionaryService, build_shards
+from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_integer
 
 #: Preallocated step capacity of each worker's shared counter matrix.
@@ -434,7 +435,18 @@ class ParallelDictionaryService(ShardedDictionaryService):
     Either way, per-group probe RNGs are seeded from one dispatcher
     draw, so answers and merged probe accounting are independent of
     the engine and of the worker count.
+
+    Healing is not a capability here: the in-process healing layer
+    (scrub, witness dispatch, replica rebuild) manipulates replica
+    state the dispatcher no longer executes against.  The fabric's
+    failure story is worker-level — crash failover plus
+    :meth:`WorkerPool.respawn` — so :meth:`enable_healing` raises
+    :class:`~repro.errors.ParameterError`.
     """
+
+    #: Admission tuning only: replica tables live in worker-held shared
+    #: memory, so neither structural actions nor healing can reach them.
+    CAPABILITIES = frozenset(("capacity",))
 
     def __init__(
         self,
@@ -476,22 +488,6 @@ class ParallelDictionaryService(ShardedDictionaryService):
             )
             if self.procs >= 1
             else None
-        )
-
-    # -- healing is an in-process feature ---------------------------------------
-
-    def enable_healing(self, config=None, seed=0):
-        """Unsupported on the fabric: worker crash recovery replaces it.
-
-        The in-process healing layer (scrub, witness dispatch, replica
-        rebuild) manipulates replica state the dispatcher no longer
-        executes against.  The fabric's failure story is worker-level:
-        crash failover plus :meth:`WorkerPool.respawn`.  Raises
-        :class:`~repro.errors.ParameterError` unconditionally.
-        """
-        raise ParameterError(
-            "healing runs in-process only; the parallel fabric handles "
-            "worker crashes via failover + WorkerPool.respawn"
         )
 
     # -- engine -----------------------------------------------------------------
@@ -548,15 +544,11 @@ class ParallelDictionaryService(ShardedDictionaryService):
         """Reference engine: the identical plan, run in this process."""
         results: dict[int, tuple] = {}
         for g in groups:
-            counter = self.shards[g.shard].table.counter
-            before = counter.total_probes()
-            answers = self.shards[g.shard].query_batch_on(
-                g.keys, g.replica, np.random.default_rng(g.seed)
+            answers, probes = self._query_on(
+                self.shards[g.shard], g.keys, g.replica,
+                np.random.default_rng(g.seed),
             )
-            results[g.gid] = (
-                np.asarray(answers, dtype=bool),
-                counter.total_probes() - before,
-            )
+            results[g.gid] = (np.asarray(answers, dtype=bool), probes)
         return results
 
     def _execute_procs(self, groups: list[_Group]) -> dict[int, tuple]:
@@ -631,53 +623,18 @@ class ParallelDictionaryService(ShardedDictionaryService):
 
     # -- ticket path (overrides the in-process execution only) ------------------
 
-    def _dispatch(self, shard: int, batch) -> int:
-        """Route one flushed batch, execute on the engine, complete tickets."""
+    def _answer_batch(self, shard, tickets, xs, now, batch_span=None) -> None:
+        """Route one flushed batch, run every group on the engine, charge."""
         router = self.routers[shard]
-        tickets = batch.requests
-        hub = self.telemetry
-        batch_span = (
-            hub.on_batch(shard, batch, tickets) if hub is not None else None
-        )
-        xs = np.asarray([t.key for t in tickets], dtype=np.int64)
-        assignment = router.assign(xs.shape[0])
-        order = np.arange(xs.shape[0])
         groups = []
-        for replica in np.unique(assignment):
-            sel = order[assignment == replica]
-            groups.append(self._make_group(shard, int(replica), xs[sel], sel))
-            if hub is not None:
-                hub.on_route(
-                    shard, int(replica), router.name, int(sel.size),
-                    float(batch.flushed), batch_span,
-                )
+        for replica, sel in self._assign(router, xs.size):
+            groups.append(self._make_group(shard, replica, xs[sel], sel))
+            self._note_route(shard, router, replica, sel.size, now, batch_span)
         results = self._execute(groups)
-        now = float(batch.flushed)
-        busy = self._busy_until[shard]
         for g in groups:
             answers, probes = results[g.gid]
-            router.record(g.replica, probes)
-            self.stats.probes += probes
-            start = max(now, float(busy[g.replica]))
-            finish = start + probes * self.probe_time
-            busy[g.replica] = finish
-            if hub is not None:
-                hub.on_dispatch(
-                    g.shard, g.replica, probes, start, finish, batch_span,
-                )
-            for pos, i in enumerate(g.positions):
-                tickets[i].answer = bool(answers[pos])
-                tickets[i].completion = finish
-                tickets[i].replica = g.replica
-        self.stats.batches += 1
-        done = [t for t in tickets if t.done]
-        self.admission.release(len(done))
-        self.stats.completed += len(done)
-        if hub is not None:
-            hub.on_batch_done(shard, done, batch_span, service=self)
-        if self.on_complete is not None and done:
-            self.on_complete(done)
-        return len(done)
+            finish = self._charge(shard, g.replica, probes, now, batch_span)
+            self._complete(tickets, g.positions, answers, finish, g.replica)
 
     # -- bulk path (the E22 throughput surface) ---------------------------------
 
@@ -690,25 +647,23 @@ class ParallelDictionaryService(ShardedDictionaryService):
         before the first response is awaited — so all workers run
         concurrently — and the answers come back in input order.
         Bypasses admission control: this is a closed-loop measurement
-        surface, not an open-loop server.
+        surface, not an open-loop server.  Keys outside the universe
+        raise :class:`~repro.errors.QueryError` before anything ships.
         """
         xs = np.asarray(xs, dtype=np.int64)
         if xs.ndim != 1:
             raise ParameterError("query_batch expects a 1-d key array")
-        shard_of_each = (
-            np.searchsorted(self._boundaries, xs, side="right") - 1
-        )
+        shard_of_each = self.shards_of(xs)
         groups: list[_Group] = []
         for shard in range(self.num_shards):
             idx = np.nonzero(shard_of_each == shard)[0]
             router = self.routers[shard]
             for lo in range(0, idx.size, self._max_batch):
                 sel = idx[lo:lo + self._max_batch]
-                assignment = router.assign(sel.size)
-                for replica in np.unique(assignment):
-                    pick = sel[assignment == replica]
+                for replica, part in self._assign(router, sel.size):
+                    pick = sel[part]
                     groups.append(
-                        self._make_group(shard, int(replica), xs[pick], pick)
+                        self._make_group(shard, replica, xs[pick], pick)
                     )
         results = self._execute(groups)
         answers = np.zeros(xs.size, dtype=bool)
@@ -845,27 +800,18 @@ def build_parallel_service(
 ) -> ParallelDictionaryService:
     """Construct a fabric service: build shards in-process, then share them.
 
-    Mirrors :func:`~repro.serve.service.build_service` (same sharding,
-    same construction seeds for the same ``seed``) and wraps the result
-    in a :class:`ParallelDictionaryService` with ``procs`` workers
-    (``procs=0`` selects the inline reference engine).
+    The shards come from :func:`~repro.serve.service.build_shards`, so
+    they match :func:`~repro.serve.service.build_service` for the same
+    ``seed``; the result is a :class:`ParallelDictionaryService` with
+    ``procs`` workers (``procs=0`` selects the inline reference engine).
     """
-    built = build_service(
-        keys,
-        universe_size,
-        num_shards=num_shards,
-        replicas=replicas,
-        scheme=scheme,
-        router=router,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        capacity=capacity,
-        probe_time=probe_time,
-        seed=seed,
+    shards, boundaries = build_shards(
+        keys, universe_size, as_generator(seed), num_shards=num_shards,
+        replicas=replicas, scheme=scheme,
     )
     return ParallelDictionaryService(
-        built.shards,
-        [int(b) for b in built._boundaries],
+        shards,
+        boundaries,
         procs=procs,
         router=router,
         max_batch=max_batch,

@@ -25,6 +25,14 @@ byte-reproducible — the E19 determinism guarantee.  The asyncio server
 (:mod:`repro.serve.asyncio_server`) drives the same object with the
 wall clock.
 
+:class:`ShardedDictionaryService` is the one request core.  The
+multicore fabric (:class:`~repro.parallel.fabric.
+ParallelDictionaryService`) and the mutable service
+(:class:`~repro.serve.dynamic_service.DynamicShardedService`) subclass
+it and override only ``_answer_batch``, the step that gives a flushed
+read batch its answers; each declares what it supports in
+``CAPABILITIES``.
+
 Replica *service time* is modeled in probe-equivalents: a dispatched
 batch occupies its replica for ``probes * probe_time`` time units
 (the cell-probe model's only cost measure), which yields honest
@@ -108,6 +116,15 @@ class ServiceStats:
 class ShardedDictionaryService:
     """Shards × replicas of a static dictionary behind batch + routing.
 
+    This class is the one request core every front end shares.  It
+    owns shard geometry, the keyspace check, admission, the read
+    batchers, ``submit``/``advance``/``drain``, the batch prologue and
+    epilogue (telemetry span, ticket completion, admission release,
+    stats, ``on_complete``, the health tick) and the per-group probe
+    accounting.  A front end overrides only :meth:`_answer_batch` —
+    how a flushed read batch gets its answers — and declares what it
+    supports in :attr:`CAPABILITIES`.
+
     Parameters
     ----------
     shards:
@@ -130,6 +147,13 @@ class ShardedDictionaryService:
     seed:
         Seeds the query-execution RNG and the routers.
     """
+
+    #: What this front end supports: ``"healing"`` gates
+    #: :meth:`enable_healing`; the rest are the autotune action kinds
+    #: :func:`~repro.autotune.reconfig.service_capabilities` reports.
+    CAPABILITIES = frozenset(
+        ("healing", "capacity", "split", "join", "scheme-switch")
+    )
 
     def __init__(
         self,
@@ -209,8 +233,15 @@ class ShardedDictionaryService:
         replica rebuild, verified dispatch, and priority-aware graceful
         degradation.  Never calling this leaves every healing call site
         behind ``self.health is None`` — the seed code path,
-        byte-identical probe accounting included.
+        byte-identical probe accounting included.  A front end without
+        the ``"healing"`` capability raises
+        :class:`~repro.errors.ParameterError`.
         """
+        if "healing" not in self.CAPABILITIES:
+            raise ParameterError(
+                f"{type(self).__name__} does not support healing; "
+                f"capabilities: {sorted(self.CAPABILITIES)}"
+            )
         # Imported here: repro.serve.health imports the dictionary layer,
         # and keeping service importable without it preserves layering.
         from repro.serve.health import HealthManager
@@ -223,7 +254,8 @@ class ShardedDictionaryService:
         AutotuneController` driving this service's configuration.
 
         The controller ticks from :meth:`advance` / :meth:`drain`, paced
-        by its policy's ``check_every`` in virtual time.  Never calling
+        by its policy's ``check_every`` in virtual time, and may apply
+        only the action kinds in :attr:`CAPABILITIES`.  Never calling
         this — or attaching with ``enabled=False`` — leaves every call
         site behind ``self.autotune is None`` / a no-op tick: the seed
         code path, byte-identical probe accounting included.
@@ -239,16 +271,29 @@ class ShardedDictionaryService:
 
     # -- keyspace ----------------------------------------------------------------
 
+    def _outside(self, x: int) -> QueryError:
+        return QueryError(
+            f"query {x} outside universe [0, {self.universe_size})"
+        )
+
     def shard_of(self, x: int) -> int:
         """Index of the shard whose keyspace range contains ``x``."""
         x = int(x)
         if not 0 <= x < self.universe_size:
-            raise QueryError(
-                f"query {x} outside universe [0, {self.universe_size})"
-            )
+            raise self._outside(x)
         return int(
             np.searchsorted(self._boundaries, x, side="right") - 1
         )
+
+    def shards_of(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`shard_of` for a whole key array, checked up front."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.size and (
+            int(xs.min()) < 0 or int(xs.max()) >= self.universe_size
+        ):
+            bad = (xs < 0) | (xs >= self.universe_size)
+            raise self._outside(int(xs[bad][0]))
+        return np.searchsorted(self._boundaries, xs, side="right") - 1
 
     # -- request path ------------------------------------------------------------
 
@@ -267,11 +312,7 @@ class ShardedDictionaryService:
         try:
             self.admission.admit(priority=priority)
         except (OverloadError, DegradedModeError):
-            if hub is not None:
-                hub.on_shed(
-                    float(now), self.admission.in_flight,
-                    self.admission.capacity,
-                )
+            self._shed(float(now))
             raise
         ticket = Ticket(
             key=int(x), shard=shard, arrival=float(now),
@@ -286,11 +327,22 @@ class ShardedDictionaryService:
             self._dispatch(shard, batch)
         return ticket
 
+    def _shed(self, now: float) -> None:
+        """Admission control refused a read at ``now``."""
+        if self.telemetry is not None:
+            self.telemetry.on_shed(
+                now, self.admission.in_flight, self.admission.capacity,
+            )
+
+    def _timed_batchers(self) -> list[MicroBatcher]:
+        """Every batcher whose flush deadline :meth:`next_deadline` sees."""
+        return self.batchers
+
     def next_deadline(self) -> float | None:
         """Earliest pending flush deadline across shards (None if idle)."""
         deadlines = [
             b.next_deadline()
-            for b in self.batchers
+            for b in self._timed_batchers()
             if b.next_deadline() is not None
         ]
         return min(deadlines) if deadlines else None
@@ -320,23 +372,16 @@ class ShardedDictionaryService:
     # -- dispatch ----------------------------------------------------------------
 
     def _dispatch(self, shard: int, batch: Batch) -> int:
-        """Execute one flushed batch: route, run, time, complete."""
-        dictionary = self.shards[shard]
-        router = self.routers[shard]
+        """Execute one flushed batch: answer it, then complete its tickets."""
         tickets: list[Ticket] = batch.requests
         hub = self.telemetry
         batch_span = (
             hub.on_batch(shard, batch, tickets) if hub is not None else None
         )
         xs = np.asarray([t.key for t in tickets], dtype=np.int64)
-        assignment = router.assign(xs.shape[0])
-        order = np.arange(xs.shape[0])
-        for replica in np.unique(assignment):
-            sel = order[assignment == replica]
-            self._run_group(
-                shard, dictionary, router, tickets, xs, sel,
-                int(replica), batch.flushed, batch_span,
-            )
+        self._answer_batch(
+            shard, tickets, xs, float(batch.flushed), batch_span
+        )
         self.stats.batches += 1
         done = [t for t in tickets if t.done]
         self.admission.release(len(done))
@@ -349,11 +394,95 @@ class ShardedDictionaryService:
             self.on_complete(done)
         return len(done)
 
+    def _answer_batch(
+        self,
+        shard: int,
+        tickets: list[Ticket],
+        xs: np.ndarray,
+        now: float,
+        batch_span=None,
+    ) -> None:
+        """The front-end step: answer and complete one flushed batch.
+
+        In process: route the batch, then run each replica's group
+        inline with crash failover and (with healing on) verification.
+        """
+        for replica, sel in self._assign(self.routers[shard], xs.size):
+            self._run_group(shard, tickets, xs, sel, replica, now, batch_span)
+
+    @staticmethod
+    def _assign(router: Router, size: int) -> list[tuple[int, np.ndarray]]:
+        """One router assignment of ``size`` requests, grouped by replica."""
+        assignment = router.assign(size)
+        order = np.arange(size)
+        return [
+            (int(replica), order[assignment == replica])
+            for replica in np.unique(assignment)
+        ]
+
+    def _note_route(
+        self, shard, router, replica, size, now, batch_span,
+    ) -> None:
+        """Publish one routing pick to telemetry."""
+        if self.telemetry is not None:
+            self.telemetry.on_route(
+                shard, replica, router.name, int(size), float(now),
+                batch_span,
+            )
+        if BUS.active:
+            BUS.emit(RouteEvent(
+                shard=shard, replica=replica, policy=router.name,
+                size=int(size),
+            ))
+
+    def _charge(self, shard, replica, probes, now, batch_span) -> float:
+        """Account one routed group on its replica; returns its finish.
+
+        Feeds the probes back to the router, queues the group behind
+        the replica's busy-until time, and publishes the dispatch.
+        """
+        self.routers[shard].record(replica, probes)
+        busy = self._busy_until[shard]
+        start = max(float(now), float(busy[replica]))
+        finish = start + probes * self.probe_time
+        busy[replica] = finish
+        self._note_dispatch(shard, replica, probes, start, finish, batch_span)
+        return finish
+
+    def _note_dispatch(
+        self, shard, replica, probes, start, finish, batch_span,
+    ) -> None:
+        """Count one dispatch's probes and publish it to telemetry."""
+        self.stats.probes += probes
+        if self.telemetry is not None:
+            self.telemetry.on_dispatch(
+                shard, replica, probes, start, finish, batch_span,
+            )
+        if BUS.active:
+            BUS.emit(DispatchEvent(
+                shard=shard, replica=replica, probes=probes,
+                start=start, finish=finish,
+            ))
+
+    @staticmethod
+    def _complete(tickets, positions, answers, finish, replica) -> None:
+        """Stamp the answered tickets at ``positions`` as done."""
+        for pos, i in enumerate(positions):
+            ticket = tickets[i]
+            ticket.answer = bool(answers[pos])
+            ticket.completion = finish
+            ticket.replica = replica
+
+    @staticmethod
+    def _query_on(dictionary, keys, replica, rng) -> tuple[np.ndarray, int]:
+        """Run ``keys`` on one replica: ``(answers, probes charged)``."""
+        before = dictionary.table.counter.total_probes()
+        answers = dictionary.query_batch_on(keys, replica, rng)
+        return answers, dictionary.table.counter.total_probes() - before
+
     def _run_group(
         self,
         shard: int,
-        dictionary: ReplicatedDictionary,
-        router: Router,
         tickets: list[Ticket],
         xs: np.ndarray,
         sel: np.ndarray,
@@ -362,48 +491,29 @@ class ShardedDictionaryService:
         batch_span=None,
     ) -> None:
         """Run one replica's share of a batch, failing over on crashes."""
-        hub = self.telemetry
+        dictionary = self.shards[shard]
+        router = self.routers[shard]
         if replica not in router.live:
             # The batch's assignment is computed once at flush time, so
             # a replica taken down *mid-batch* — e.g. quarantined after
             # a witness caught an earlier group's corruption — can still
             # hold later groups of the same batch.  Re-route instead of
-            # dispatching into the quarantine (found by the PR 7
-            # adversarial search; partial corruption evades the
+            # dispatching into the quarantine (found by the adversarial
+            # search of E23; partial corruption evades the
             # detectable-failure retry path below).
             replica = int(router.assign(1)[0])
-        if hub is not None:
-            hub.on_route(
-                shard, replica, router.name, int(sel.size), float(now),
-                batch_span,
-            )
-        if BUS.active:
-            BUS.emit(RouteEvent(
-                shard=shard, replica=replica, policy=router.name,
-                size=int(sel.size),
-            ))
+        self._note_route(shard, router, replica, sel.size, now, batch_span)
         while True:
-            before = dictionary.table.counter.total_probes()
             try:
-                answers = dictionary.query_batch_on(
-                    xs[sel], replica, self._rng
+                answers, probes = self._query_on(
+                    dictionary, xs[sel], replica, self._rng
                 )
             except ReplicaUnavailableError:
-                # PR 2 composition: the crash marks the replica down,
+                # Fault-layer composition: the crash marks the replica down,
                 # the router reweights, and the batch retries on a
                 # survivor.  No healthy replica left raises
                 # FaultExhaustedError out of the service.
-                router.mark_down(replica)
-                self.stats.failovers += 1
-                if hub is not None:
-                    hub.on_failover(shard, replica, float(now), batch_span)
-                if BUS.active:
-                    BUS.emit(FailoverEvent(shard=shard, replica=replica))
-                if self.health is not None:
-                    self.health.on_crash(shard, replica, float(now))
-                candidates = router.assign(1)
-                replica = int(candidates[0])
-                continue
+                crashed = True
             except _REPLICA_FAILURES:
                 # Detectable corruption drove the query algorithm into
                 # an impossible state.  With healing on, quarantine the
@@ -412,69 +522,23 @@ class ShardedDictionaryService:
                 # it, this stays the seed's hard error.
                 if self.health is None:
                     raise
-                router.mark_down(replica)
-                self.stats.failovers += 1
-                if hub is not None:
-                    hub.on_failover(shard, replica, float(now), batch_span)
-                if BUS.active:
-                    BUS.emit(FailoverEvent(shard=shard, replica=replica))
-                self.health.on_corruption(shard, replica, float(now))
-                candidates = router.assign(1)
-                replica = int(candidates[0])
-                continue
-            break
-        probes = dictionary.table.counter.total_probes() - before
-        router.record(replica, probes)
-        self.stats.probes += probes
-        busy = self._busy_until[shard]
-        start = max(float(now), float(busy[replica]))
-        finish = start + probes * self.probe_time
-        busy[replica] = finish
-        if hub is not None:
-            hub.on_dispatch(shard, replica, probes, start, finish, batch_span)
-        if BUS.active:
-            BUS.emit(DispatchEvent(
-                shard=shard, replica=replica, probes=probes,
-                start=start, finish=finish,
-            ))
+                crashed = False
+            else:
+                break
+            self._quarantine(shard, router, replica, now, batch_span, crashed)
+            replica = int(router.assign(1)[0])
+        finish = self._charge(shard, replica, probes, now, batch_span)
         if self.health is not None:
             self.health.note_dispatch(shard, replica, float(now))
             answers = self._verify_group(
-                shard, dictionary, router, xs, sel, replica, answers,
-                now, batch_span,
+                shard, xs[sel], replica, answers, now, batch_span,
             )
-        for pos, i in enumerate(sel):
-            tickets[i].answer = bool(answers[pos])
-            tickets[i].completion = finish
-            tickets[i].replica = replica
-
-    def _query_group_on(
-        self, shard, dictionary, router, keys, replica, now, batch_span,
-    ) -> np.ndarray:
-        """One charged verification dispatch of ``keys`` to ``replica``."""
-        hub = self.telemetry
-        before = dictionary.table.counter.total_probes()
-        answers = dictionary.query_batch_on(keys, replica, self._rng)
-        probes = dictionary.table.counter.total_probes() - before
-        router.record(replica, probes)
-        self.stats.probes += probes
-        busy = self._busy_until[shard]
-        start = max(float(now), float(busy[replica]))
-        finish = start + probes * self.probe_time
-        busy[replica] = finish
-        if hub is not None:
-            hub.on_dispatch(shard, replica, probes, start, finish, batch_span)
-        if BUS.active:
-            BUS.emit(DispatchEvent(
-                shard=shard, replica=replica, probes=probes,
-                start=start, finish=finish,
-            ))
-        return answers
+        self._complete(tickets, sel, answers, finish, replica)
 
     def _quarantine(
         self, shard, router, replica, now, batch_span, crashed: bool,
     ) -> None:
-        """Mark a replica down and tell the health manager why."""
+        """Mark a failed replica down and tell the health manager why."""
         hub = self.telemetry
         if router.breaker_state(replica) == "closed":
             router.mark_down(replica)
@@ -483,18 +547,36 @@ class ShardedDictionaryService:
             hub.on_failover(shard, replica, float(now), batch_span)
         if BUS.active:
             BUS.emit(FailoverEvent(shard=shard, replica=replica))
+        if self.health is None:
+            return
         if crashed:
             self.health.on_crash(shard, replica, float(now))
         else:
             self.health.on_corruption(shard, replica, float(now))
 
+    def _poll_replica(self, shard, keys, replica, now, batch_span):
+        """One charged verification read; a failing replica is
+        quarantined and yields ``None``."""
+        try:
+            answers, probes = self._query_on(
+                self.shards[shard], keys, replica, self._rng
+            )
+        except ReplicaUnavailableError:
+            crashed = True
+        except _REPLICA_FAILURES:
+            crashed = False
+        else:
+            self._charge(shard, replica, probes, now, batch_span)
+            return answers
+        self._quarantine(
+            shard, self.routers[shard], replica, now, batch_span, crashed,
+        )
+        return None
+
     def _verify_group(
         self,
         shard: int,
-        dictionary: ReplicatedDictionary,
-        router: Router,
-        xs: np.ndarray,
-        sel: np.ndarray,
+        keys: np.ndarray,
         primary: int,
         answers: np.ndarray,
         now: float,
@@ -513,24 +595,12 @@ class ShardedDictionaryService:
         tickets see — a silently-corrupt replica never propagates a
         wrong answer.
         """
-        health = self.health
-        witness = health.pick_witness(shard, primary)
+        router = self.routers[shard]
+        witness = self.health.pick_witness(shard, primary)
         if witness is None:
             return answers
-        keys = xs[sel]
-        try:
-            echoed = self._query_group_on(
-                shard, dictionary, router, keys, witness, now, batch_span,
-            )
-        except ReplicaUnavailableError:
-            self._quarantine(
-                shard, router, witness, now, batch_span, crashed=True,
-            )
-            return answers
-        except _REPLICA_FAILURES:
-            self._quarantine(
-                shard, router, witness, now, batch_span, crashed=False,
-            )
+        echoed = self._poll_replica(shard, keys, witness, now, batch_span)
+        if echoed is None:
             return answers
         mismatch = np.nonzero(answers != echoed)[0]
         if mismatch.size == 0:
@@ -544,18 +614,9 @@ class ShardedDictionaryService:
         for r in list(router.live):
             if r in votes:
                 continue
-            try:
-                votes[r] = self._query_group_on(
-                    shard, dictionary, router, contested, r, now, batch_span,
-                )
-            except ReplicaUnavailableError:
-                self._quarantine(
-                    shard, router, r, now, batch_span, crashed=True,
-                )
-            except _REPLICA_FAILURES:
-                self._quarantine(
-                    shard, router, r, now, batch_span, crashed=False,
-                )
+            vote = self._poll_replica(shard, contested, r, now, batch_span)
+            if vote is not None:
+                votes[r] = vote
         stack = np.stack([votes[r] for r in sorted(votes)])
         if stack.shape[0] >= 3:
             majority = stack.sum(axis=0) * 2 > stack.shape[0]
@@ -564,7 +625,7 @@ class ShardedDictionaryService:
             # key set is ground truth the service already holds (and
             # consulting it probes no cells), so it breaks the tie —
             # the same oracle the canary gate checks against.
-            majority = np.isin(contested, dictionary.keys)
+            majority = np.isin(contested, self.shards[shard].keys)
         for r in sorted(votes):
             if bool(np.any(votes[r] != majority)):
                 self._quarantine(
@@ -592,31 +653,32 @@ class ShardedDictionaryService:
         )
 
 
-def build_service(
+def shard_boundaries(universe_size: int, num_shards: int) -> list[int]:
+    """First key of each of ``num_shards`` equal contiguous key ranges."""
+    num_shards = check_positive_integer("num_shards", num_shards)
+    return [(int(universe_size) * i) // num_shards for i in range(num_shards)]
+
+
+def build_shards(
     keys: np.ndarray,
     universe_size: int,
+    rng: np.random.Generator,
     num_shards: int = 1,
     replicas: int = 3,
     scheme: str = "low-contention",
-    router: str = "least-loaded",
-    max_batch: int = 32,
-    max_delay: float = 1.0,
-    capacity: int = 1024,
-    probe_time: float = 0.0,
     faults: FaultConfig | None = None,
     mode: str = "random",
-    seed=0,
-) -> ShardedDictionaryService:
-    """Construct a service over ``keys``: shard, build, replicate.
+) -> tuple[list[ReplicatedDictionary], list[int]]:
+    """Split ``keys`` into equal ranges and build one replica set each.
 
-    The universe splits into ``num_shards`` equal contiguous ranges;
-    each range's keys build one inner dictionary (scheme from
-    :data:`~repro.experiments.common.SCHEMES`), wrapped in a
-    :class:`~repro.dictionaries.replicated.ReplicatedDictionary` with
-    ``replicas`` copies and the given fault configuration.  Every shard
-    must own at least one key (shard counts far below n keep this true
-    for random instances; a violating split raises
-    :class:`~repro.errors.ParameterError`).
+    Returns ``(shards, boundaries)``.  Each range's keys build one
+    inner dictionary (scheme from
+    :data:`~repro.experiments.common.SCHEMES`) seeded by one draw from
+    ``rng``, wrapped in a :class:`~repro.dictionaries.replicated.
+    ReplicatedDictionary` with ``replicas`` copies and the given fault
+    configuration.  Every shard must own at least one key (shard counts
+    far below n keep this true for random instances; a violating split
+    raises :class:`~repro.errors.ParameterError`).
     """
     # Imported here, not at module level: repro.experiments.e19_serving
     # imports repro.serve, so a top-level import would be circular.
@@ -624,18 +686,14 @@ def build_service(
 
     keys = np.asarray(keys, dtype=np.int64)
     universe_size = int(universe_size)
-    num_shards = check_positive_integer("num_shards", num_shards)
+    boundaries = shard_boundaries(universe_size, num_shards)
     if scheme not in SCHEMES:
         raise ParameterError(
             f"unknown scheme {scheme!r}; options: {sorted(SCHEMES)}"
         )
-    rng = as_generator(seed)
-    boundaries = [
-        (universe_size * i) // num_shards for i in range(num_shards)
-    ]
     edges = boundaries + [universe_size]
     shards: list[ReplicatedDictionary] = []
-    for i in range(num_shards):
+    for i in range(len(boundaries)):
         lo, hi = edges[i], edges[i + 1]
         shard_keys = keys[(keys >= lo) & (keys < hi)]
         if shard_keys.size == 0:
@@ -653,6 +711,35 @@ def build_service(
                 inner, replicas, mode=mode, faults=faults
             )
         )
+    return shards, boundaries
+
+
+def build_service(
+    keys: np.ndarray,
+    universe_size: int,
+    num_shards: int = 1,
+    replicas: int = 3,
+    scheme: str = "low-contention",
+    router: str = "least-loaded",
+    max_batch: int = 32,
+    max_delay: float = 1.0,
+    capacity: int = 1024,
+    probe_time: float = 0.0,
+    faults: FaultConfig | None = None,
+    mode: str = "random",
+    seed=0,
+) -> ShardedDictionaryService:
+    """Construct a service over ``keys``: shard, build, replicate.
+
+    The shards come from :func:`build_shards` (equal contiguous
+    ranges, one replicated inner dictionary each); one further draw
+    from the same seed stream seeds the service itself.
+    """
+    rng = as_generator(seed)
+    shards, boundaries = build_shards(
+        keys, universe_size, rng, num_shards=num_shards,
+        replicas=replicas, scheme=scheme, faults=faults, mode=mode,
+    )
     return ShardedDictionaryService(
         shards,
         boundaries,
