@@ -58,8 +58,7 @@ def _instance_geometry(config: EvalConfig, seed) -> tuple:
         keys, N, num_shards=1, replicas=config.replicas, router="random",
         faults=FaultConfig(armed=True), seed=int(seed) + 1,
     )
-    d = service.shards[0]
-    return N, d.inner_rows * d.table.s
+    return N, service.shards[0].inner_cells
 
 
 def baseline_genome(config: EvalConfig, seed) -> Genome:

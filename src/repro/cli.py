@@ -978,12 +978,11 @@ def _cmd_chaos(args) -> int:
     require_armed(service)
     manager = service.enable_healing(seed=args.seed + 5)
     horizon = requests / args.rate
-    d = service.shards[0]
     schedule = ChaosSchedule.generate(
         args.seed + 6,
         horizon,
         args.replicas,
-        d.inner_rows * d.table.s,
+        service.shards[0].inner_cells,
         crashes=args.crashes,
         corruptions=args.corruptions,
         stuck=args.stuck,

@@ -19,14 +19,19 @@ way, binary search needs R = Theta(n) replicas (Theta(n**2) space) and
 FKS R = Theta(max bucket load) (superlinear space), whereas Theorem 3's
 construction does it in O(n) space — replication of *critical cells
 only*, sized by the load structure, is what the paper's design buys.
+
+:class:`ReplicaSet` is the replica contract this wrapper shares with the
+lockstep :class:`~repro.dynamic.replicated.ReplicatedDynamicDictionary`;
+what stays here is static: row copies behind a
+:class:`~repro.faults.FaultInjector` and chaos hooks acting on those rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cellprobe.steps import BatchStridedStep, FixedCell, ProbeStep, UniformSet, UniformStrided
-from repro.cellprobe.table import Table
+from repro.cellprobe.steps import BatchStridedStep, ProbeStep
+from repro.cellprobe.table import EMPTY_CELL, Table
 from repro.dictionaries.base import StaticDictionary
 from repro.errors import (
     CorruptQueryError,
@@ -50,20 +55,114 @@ _REPLICA_FAILURES = (ReproError, OverflowError, IndexError, ValueError)
 QUERY_MODES = ("random", "majority", "failover")
 
 
+class ReplicaSet:
+    """R replicas of one dictionary: crash state, dispatch guard and vote.
+
+    The contract both replicated dictionaries share.  A subclass sets
+    ``name`` and ``armed`` (whether the chaos hooks are live) and says
+    which replicas are up (:meth:`_available`); the base range-checks
+    replica indices (:class:`~repro.errors.ParameterError`), refuses
+    unarmed chaos hooks (:class:`~repro.errors.HealError`), guards
+    dispatch (:meth:`_guard`), votes (:meth:`_vote`) and keeps one
+    :class:`~repro.faults.FaultStats` record.
+    """
+
+    name: str
+    armed: bool
+    #: How to build an instance whose chaos hooks are armed.
+    _arm_hint = "build it armed"
+
+    def __init__(self, replicas: int):
+        if replicas < 1:
+            raise ParameterError("replicas must be >= 1")
+        self.replicas = int(replicas)
+        self.fault_stats = FaultStats()
+
+    def _available(self, replica: int) -> bool:
+        """Whether in-range ``replica`` is up (not crashed)."""
+        raise NotImplementedError
+
+    def live_replicas(self) -> list[int]:
+        """Replica indices that are not crashed."""
+        return [r for r in range(self.replicas) if self._available(r)]
+
+    def _check_replica(self, replica: int) -> int:
+        r = int(replica)
+        if not 0 <= r < self.replicas:
+            raise ParameterError(
+                f"replica {r} out of range [0, {self.replicas})"
+            )
+        return r
+
+    def _require_armed(self) -> None:
+        if not self.armed:
+            raise HealError(
+                f"{self.name} fault hooks are not armed; {self._arm_hint} "
+                "to crash/corrupt replicas dynamically"
+            )
+
+    def _guard(self, replica: int) -> int:
+        """Range-check a dispatch target; a crashed one is a crash hit."""
+        r = self._check_replica(replica)
+        if not self._available(r):
+            self.fault_stats.crash_hits += 1
+            raise ReplicaUnavailableError(r)
+        return r
+
+    def _voters(self, candidates) -> list[int]:
+        """The live ``candidates``; each crashed one counts a crash hit."""
+        voters = [r for r in candidates if self._available(r)]
+        self.fault_stats.crash_hits += len(candidates) - len(voters)
+        return voters
+
+    def _vote(self, voters, read, shape=()) -> np.ndarray:
+        """Majority of ``read(r)`` over ``voters``; ties resolve to False.
+
+        A replica whose read raises one of :data:`_REPLICA_FAILURES`
+        abstains (a corrupted read); no voter at all raises
+        :class:`~repro.errors.FaultExhaustedError`.  Correct whenever a
+        strict majority of the voters is healthy.
+        """
+        votes_true = np.zeros(shape, dtype=np.int64)
+        count = 0
+        for r in voters:
+            try:
+                answers = read(r)
+            except _REPLICA_FAILURES:
+                self.fault_stats.corrupted_reads += 1
+                continue
+            votes_true += answers
+            count += 1
+        if count == 0:
+            self.fault_stats.exhausted += 1
+            raise FaultExhaustedError(self.replicas)
+        return votes_true * 2 > count
+
+
 class _ReplicaView:
     """A Table facade redirecting an inner dictionary's accesses.
 
     Reads/writes at (row, col) go to (offset + row, col) of the outer
     table, so the inner query algorithm runs unchanged against one
-    replica with honest probe accounting on the outer counter.
+    replica with honest probe accounting on the outer counter.  As a
+    context manager it is ``inner``'s table for the block.
     """
 
-    def __init__(self, outer: Table, inner_rows: int, replica: int):
+    def __init__(self, outer: Table, inner_rows: int, replica: int, inner):
         self._outer = outer
         self._offset = replica * inner_rows
         self.rows = inner_rows
         self.s = outer.s
         self.counter = outer.counter
+        self._inner = inner
+
+    def __enter__(self):
+        self._original = self._inner.table
+        self._inner.table = self
+        return self._inner
+
+    def __exit__(self, *exc):
+        self._inner.table = self._original
 
     def read(self, row: int, column: int, step: int) -> int:
         return self._outer.read(self._offset + row, column, step)
@@ -80,7 +179,7 @@ class _ReplicaView:
         return self.rows * self.s
 
 
-class ReplicatedDictionary(StaticDictionary):
+class ReplicatedDictionary(ReplicaSet, StaticDictionary):
     """R copies of an inner static dictionary; queries pick one uniformly.
 
     Fault tolerance (opt-in, zero overhead by default): attach a
@@ -91,9 +190,10 @@ class ReplicatedDictionary(StaticDictionary):
       corrupt cells silently flip answers and a crashed replica raises
       :class:`~repro.errors.ReplicaUnavailableError`.
     - ``"majority"`` — query every live replica (all probes charged) and
-      return the majority vote; replicas whose execution detectably
-      fails (crash, out-of-range probe from a corrupt word) abstain.
-      Correct whenever a strict majority of replicas is healthy.
+      return the :class:`ReplicaSet` vote; replicas whose execution
+      detectably fails (crash, out-of-range probe from a corrupt word)
+      abstain.  Correct whenever a strict majority of replicas is
+      healthy.
     - ``"failover"`` — one replica at a time with bounded retries: a
       *detected* failure triggers failover to a fresh random replica
       after exponential backoff (``2**attempt`` probe-equivalents,
@@ -103,8 +203,12 @@ class ReplicatedDictionary(StaticDictionary):
 
     With ``faults=None`` (or a config with every rate zero) and
     ``mode="random"`` every RNG draw, probe, and answer is byte-identical
-    to the pre-fault-layer implementation (property-tested).
+    to the pre-fault-layer implementation (property-tested).  The chaos
+    hooks (crash, revive, corrupt, stick) are armed exactly when a fault
+    layer is attached.
     """
+
+    _arm_hint = "build it with an armed FaultConfig"
 
     def __init__(
         self,
@@ -115,44 +219,58 @@ class ReplicatedDictionary(StaticDictionary):
         faults: FaultConfig | None = None,
         max_retries: int = 3,
     ):
-        if replicas < 1:
-            raise ParameterError("replicas must be >= 1")
+        super().__init__(replicas)
         if mode not in QUERY_MODES:
             raise ParameterError(
                 f"unknown query mode {mode!r}; options: {QUERY_MODES}"
             )
         if max_retries < 0:
             raise ParameterError("max_retries must be >= 0")
+        rows = inner.table.rows
+        table = Table(rows=rows * self.replicas, s=inner.table.s)
+        for r in range(self.replicas):
+            for row in range(rows):
+                table.write_row(r * rows + row, inner.table._cells[row])
+        self._wire(inner, table, mode, faults, int(max_retries))
+
+    @classmethod
+    def over_table(
+        cls, inner: StaticDictionary, replicas: int, table
+    ) -> "ReplicatedDictionary":
+        """A ``"random"``-mode facade over already-replicated rows.
+
+        ``table`` (e.g. a shared-memory attachment) already holds R
+        copies of ``inner``'s rows, so nothing is copied: the facade
+        runs the same query algorithm with the same probe accounting,
+        zero-copy over ``table``.  No fault layer is attached.
+        """
+        d = cls.__new__(cls)
+        ReplicaSet.__init__(d, replicas)
+        d._wire(inner, table)
+        return d
+
+    def _wire(self, inner, table, mode="random", faults=None, max_retries=3):
+        """Set every field around a replicated ``table`` (both ctors)."""
         self.inner = inner
-        self.replicas = int(replicas)
         self.mode = mode
-        self.max_retries = int(max_retries)
+        self.max_retries = max_retries
         self.universe_size = inner.universe_size
         self.keys = inner.keys
-        self.name = f"replicated({inner.name}, R={replicas})"
+        self.name = f"replicated({inner.name}, R={self.replicas})"
         if mode != "random":
             self.name += f"[{mode}]"
-        inner_table = inner.table
-        self._inner_rows = inner_table.rows
-        self.table = Table(
-            rows=self._inner_rows * self.replicas, s=inner_table.s
-        )
-        for r in range(self.replicas):
-            for row in range(self._inner_rows):
-                self.table.write_row(
-                    r * self._inner_rows + row, inner_table._cells[row]
-                )
-        self.fault_stats = FaultStats()
+        self._inner_rows = inner.table.rows
+        self.table = table
         if faults is not None and faults.enabled:
             self.faults = faults
             self._injector = FaultInjector(
-                faults, self.table.rows, self.table.s, self.replicas
+                faults, table.rows, table.s, self.replicas
             )
-            self._read_table = FaultyTable(self.table, self._injector)
+            self._read_table = FaultyTable(table, self._injector)
         else:
             self.faults = None
             self._injector = None
-            self._read_table = self.table
+            self._read_table = table
 
     # -- geometry ----------------------------------------------------------------
 
@@ -161,19 +279,38 @@ class ReplicatedDictionary(StaticDictionary):
         """Rows per replica (the inner structure's table height)."""
         return self._inner_rows
 
+    @property
+    def inner_cells(self) -> int:
+        """Cells per replica (``inner_rows * s``)."""
+        return self._inner_rows * self.table.s
+
     def replica_row(self, replica: int, inner_row: int) -> int:
         """The outer table row holding ``inner_row`` of ``replica``."""
         return int(replica) * self._inner_rows + int(inner_row)
 
     # -- dynamic faults (chaos schedules / healing) ------------------------------
 
-    def _require_injector(self) -> FaultInjector:
-        if self._injector is None:
-            raise HealError(
-                f"{self.name} carries no fault layer; build it with an "
-                "armed FaultConfig to crash/corrupt replicas dynamically"
+    @property
+    def armed(self) -> bool:
+        """Whether a fault layer is attached (the chaos hooks are live)."""
+        return self._injector is not None
+
+    def _available(self, replica: int) -> bool:
+        return self._injector is None or self._injector.available(replica)
+
+    def _replica_cells(self, replica: int, inner_flats) -> np.ndarray:
+        """Outer flat indices of ``replica``'s ``inner_flats`` (checked)."""
+        self._require_armed()
+        r = self._check_replica(replica)
+        flats = np.asarray(inner_flats, dtype=np.int64)
+        if flats.size and not (
+            0 <= int(flats.min()) and int(flats.max()) < self.inner_cells
+        ):
+            raise ParameterError(
+                f"cells {flats.tolist()} of replica {r} outside "
+                f"[0, {self.inner_cells})"
             )
-        return self._injector
+        return r * self.inner_cells + flats
 
     def crash_replica(self, replica: int) -> None:
         """Crash ``replica`` now, losing its memory (chaos event).
@@ -184,21 +321,18 @@ class ReplicatedDictionary(StaticDictionary):
         :class:`~repro.errors.ReplicaUnavailableError` until a rebuild
         revives it.
         """
-        from repro.cellprobe.table import EMPTY_CELL
-
-        injector = self._require_injector()
-        r = int(replica)
-        if not 0 <= r < self.replicas:
-            raise ParameterError(
-                f"replica {r} out of range [0, {self.replicas})"
-            )
-        injector.crash(r)
+        self._require_armed()
+        r = self._check_replica(replica)
+        self._injector.crash(r)
         lo = r * self._inner_rows
         self.table._cells[lo:lo + self._inner_rows, :] = EMPTY_CELL
+        self.fault_stats.crashes += 1
 
     def revive_replica(self, replica: int) -> None:
         """Mark a rebuilt ``replica`` available again."""
-        self._require_injector().revive(int(replica))
+        self._require_armed()
+        self._injector.revive(self._check_replica(replica))
+        self.fault_stats.rebuilds += 1
 
     def corrupt_cell(self, replica: int, inner_flat: int, mask: int) -> None:
         """XOR ``mask`` into one physical cell of ``replica`` (bit flip).
@@ -208,60 +342,45 @@ class ReplicatedDictionary(StaticDictionary):
         construction write — ``table.writes`` stays untouched, exactly
         as a radiation upset would leave it.
         """
-        self._require_injector()
-        row, col = divmod(int(inner_flat), self.table.s)
-        if not (0 <= int(replica) < self.replicas
-                and 0 <= row < self._inner_rows):
-            raise ParameterError(
-                f"cell {inner_flat} of replica {replica} out of range"
-            )
-        outer = self.replica_row(replica, row)
-        self.table._cells[outer, col] ^= np.uint64(mask)
+        outer = int(self._replica_cells(replica, [int(inner_flat)])[0])
+        row, col = divmod(outer, self.table.s)
+        self.table._cells[row, col] ^= np.uint64(mask)
+        self.fault_stats.corruptions += 1
 
     def stick_cells(
         self, replica: int, inner_flats: np.ndarray, values: np.ndarray
     ) -> None:
         """Make cells of ``replica`` stuck-at ``values`` (chaos event)."""
-        injector = self._require_injector()
-        inner_flats = np.asarray(inner_flats, dtype=np.int64)
-        outer_flats = (
-            int(replica) * self._inner_rows * self.table.s + inner_flats
-        )
-        injector.stick(outer_flats, np.asarray(values, dtype=np.uint64))
+        outer_flats = self._replica_cells(replica, inner_flats)
+        self._injector.stick(outer_flats, np.asarray(values, dtype=np.uint64))
+        self.fault_stats.corruptions += int(outer_flats.size)
 
     # -- queries -----------------------------------------------------------------
 
-    def live_replicas(self) -> list[int]:
-        """Replica indices that are not crashed."""
-        if self._injector is None:
-            return list(range(self.replicas))
-        return [
-            r for r in range(self.replicas) if self._injector.available(r)
-        ]
+    def _on_replica(self, replica: int) -> _ReplicaView:
+        """Point the inner algorithm at one replica's rows for a block."""
+        return _ReplicaView(
+            self._read_table, self._inner_rows, replica, self.inner
+        )
 
     def _query_on(self, x: int, replica: int, rng) -> bool:
         """Run the inner query against one replica's rows (probes charged)."""
-        view = _ReplicaView(self._read_table, self._inner_rows, replica)
-        original = self.inner.table
-        self.inner.table = view
-        try:
-            return self.inner.query(x, rng)
-        finally:
-            self.inner.table = original
+        with self._on_replica(replica) as inner:
+            return inner.query(x, rng)
 
     def query(self, x: int, rng=None) -> bool:
         x = self.check_key(x)
         rng = as_generator(rng)
         if self.mode == "majority":
-            return self._query_majority(x, rng)
+            return bool(self._vote(
+                self._voters(range(self.replicas)),
+                lambda r: self._query_on(x, r, rng),
+            ))
         if self.mode == "failover":
             return self._query_failover(x, rng)
-        replica = int(rng.integers(0, self.replicas))
+        replica = self._guard(int(rng.integers(0, self.replicas)))
         if self._injector is None:
             return self._query_on(x, replica, rng)
-        if not self._injector.available(replica):
-            self.fault_stats.crash_hits += 1
-            raise ReplicaUnavailableError(replica)
         try:
             return self._query_on(x, replica, rng)
         except _REPLICA_FAILURES as exc:
@@ -270,41 +389,13 @@ class ReplicatedDictionary(StaticDictionary):
                 f"query({x}) on replica {replica} detectably corrupted"
             ) from exc
 
-    def _query_majority(self, x: int, rng) -> bool:
-        """All live replicas vote; detected failures abstain.
-
-        Ties (possible only when at least half the voting replicas
-        answered corruptly, i.e. outside the strict-majority-healthy
-        guarantee) resolve to ``False``.
-        """
-        votes_true = votes_false = 0
-        for replica in range(self.replicas):
-            if self._injector is not None and not self._injector.available(
-                replica
-            ):
-                self.fault_stats.crash_hits += 1
-                continue
-            try:
-                answer = self._query_on(x, replica, rng)
-            except _REPLICA_FAILURES:
-                self.fault_stats.corrupted_reads += 1
-                continue
-            if answer:
-                votes_true += 1
-            else:
-                votes_false += 1
-        if votes_true == 0 and votes_false == 0:
-            self.fault_stats.exhausted += 1
-            raise FaultExhaustedError(self.replicas)
-        return votes_true > votes_false
-
     def _query_failover(self, x: int, rng) -> bool:
         """Random replica with bounded retry-on-detected-failure."""
         attempts = 0
         backoff_spent = 0
         while True:
             replica = int(rng.integers(0, self.replicas))
-            if self._injector is None or self._injector.available(replica):
+            if self._available(replica):
                 try:
                     return self._query_on(x, replica, rng)
                 except _REPLICA_FAILURES:
@@ -338,24 +429,8 @@ class ReplicatedDictionary(StaticDictionary):
         """
         xs = self.check_keys_batch(xs)
         rng = as_generator(rng)
-        replica = int(replica)
-        if not 0 <= replica < self.replicas:
-            raise ParameterError(
-                f"replica {replica} out of range [0, {self.replicas})"
-            )
-        if self._injector is not None and not self._injector.available(
-            replica
-        ):
-            self.fault_stats.crash_hits += 1
-            raise ReplicaUnavailableError(replica)
-        original = self.inner.table
-        self.inner.table = _ReplicaView(
-            self._read_table, self._inner_rows, replica
-        )
-        try:
-            return self.inner.query_batch(xs, rng)
-        finally:
-            self.inner.table = original
+        with self._on_replica(self._guard(replica)) as inner:
+            return inner.query_batch(xs, rng)
 
     def replica_probe_loads(self) -> np.ndarray:
         """Probes charged so far to each replica's rows, shape ``(R,)``.
@@ -366,9 +441,7 @@ class ReplicatedDictionary(StaticDictionary):
         fault-corrupted executions).
         """
         totals = self.table.counter.total_counts()
-        return totals.reshape(
-            self.replicas, self._inner_rows * self.table.s
-        ).sum(axis=1)
+        return totals.reshape(self.replicas, self.inner_cells).sum(axis=1)
 
     def query_batch(self, xs: np.ndarray, rng=None) -> np.ndarray:
         """Batch queries grouped by sampled replica.
@@ -385,16 +458,10 @@ class ReplicatedDictionary(StaticDictionary):
         rng = as_generator(rng)
         replica = rng.integers(0, self.replicas, size=xs.shape[0])
         out = np.empty(xs.shape[0], dtype=bool)
-        original = self.inner.table
-        try:
-            for r in np.unique(replica):
-                sel = replica == r
-                self.inner.table = _ReplicaView(
-                    self.table, self._inner_rows, int(r)
-                )
-                out[sel] = self.inner.query_batch(xs[sel], rng)
-        finally:
-            self.inner.table = original
+        for r in np.unique(replica):
+            sel = replica == r
+            with self._on_replica(int(r)) as inner:
+                out[sel] = inner.query_batch(xs[sel], rng)
         return out
 
     def _lift_step(self, step: ProbeStep) -> ProbeStep:
@@ -416,16 +483,9 @@ class ReplicatedDictionary(StaticDictionary):
         return [self._lift_step(s) for s in self.inner.probe_plan(x)]
 
     def probe_plan_batch(self, xs: np.ndarray) -> list[BatchStridedStep]:
-        # The exact engine accumulates per (row, strided set); replicas
-        # multiply rows.  We return one BatchStridedStep per (inner step,
-        # replica) pair with counts scaled so each query's total step mass
-        # stays 1: probability 1/(R * inner_count) per support cell is
-        # encoded by repeating the step per replica with weight 1/R — the
-        # engine's accumulate() divides by count, so we inflate counts by
-        # handling the 1/R factor via `scaled_counts` trick: we cannot
-        # scale weights per-step, so instead we expose R separate steps
-        # each claiming count = inner_count * R.  (support per replica is
-        # inner_count cells; probability per cell = 1/(inner_count * R).)
+        # One step per (inner step, replica) pair, each carrying 1/R of
+        # the inner step's mass, so every support cell of every replica
+        # gets probability 1/(R * inner_count).
         out: list[BatchStridedStep] = []
         for t, st in enumerate(self.inner.probe_plan_batch(xs)):
             for r in range(self.replicas):

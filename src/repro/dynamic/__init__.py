@@ -42,10 +42,7 @@ from repro.dynamic.accounting import RebuildRecord, UpdateCostAccount
 from repro.dynamic.dictionary import DynamicLowContentionDictionary
 from repro.dynamic.epoch import EpochManager, EpochPin
 from repro.dynamic.levels import Level, LevelStructure
-from repro.dynamic.replicated import (
-    DynamicFaultStats,
-    ReplicatedDynamicDictionary,
-)
+from repro.dynamic.replicated import ReplicatedDynamicDictionary
 
 __all__ = [
     "DynamicLowContentionDictionary",
@@ -56,5 +53,4 @@ __all__ = [
     "EpochManager",
     "EpochPin",
     "ReplicatedDynamicDictionary",
-    "DynamicFaultStats",
 ]

@@ -12,13 +12,16 @@ crashed replica stops applying updates and loses its levels; rebuild
 replays the full log against the replica's re-derived rng stream,
 reconstructing *byte-identical* state to a replica that never crashed.
 
-Reads are majority votes in the style of the static ``"majority"``
-mode: every live replica executes the honest query against its own
-tables (all probes charged to its own per-level counters), detected
-failures abstain, ties resolve to ``False``, and an all-abstain round
-raises :class:`~repro.errors.FaultExhaustedError`.  Because replicas
-disagree only when damaged, a strict majority of healthy replicas
-guarantees correct answers under silent cell corruption.
+Reads are the :class:`~repro.dictionaries.replicated.ReplicaSet` vote,
+shared with the static ``"majority"`` mode: every live replica executes
+the honest query against its own tables (all probes charged to its own
+per-level counters), detected failures abstain, ties resolve to
+``False``, and an all-abstain round raises
+:class:`~repro.errors.FaultExhaustedError`.  Because replicas disagree
+only when damaged, a strict majority of healthy replicas guarantees
+correct answers under silent cell corruption.  The base also owns crash
+state, the dispatch guard and the :class:`~repro.faults.FaultStats`
+record; this module keeps what is dynamic.
 
 Every applied update (or micro-batched group via :meth:`apply_batch`)
 advances an :class:`~repro.dynamic.epoch.EpochManager` epoch.  Levels
@@ -53,35 +56,27 @@ byte-identical whether or not recovery verification ran.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 from contextlib import ExitStack
 
 import numpy as np
 
 from repro.cellprobe.counters import ProbeCounter
-from repro.dictionaries.replicated import _REPLICA_FAILURES
+from repro.dictionaries.replicated import ReplicaSet
 from repro.dynamic.dictionary import DynamicLowContentionDictionary
 from repro.dynamic.epoch import EpochManager, EpochPin
-from repro.errors import (
-    FaultExhaustedError,
-    HealError,
-    ParameterError,
-    ReplicaUnavailableError,
-    VerificationError,
-)
+from repro.errors import FaultExhaustedError, ParameterError, VerificationError
 from repro.heal import charged_to
 from repro.utils.rng import as_generator, spawn_generators
 
-@dataclasses.dataclass
-class DynamicFaultStats:
-    """Counters for the fault paths of the replicated dynamic dictionary."""
 
-    crash_hits: int = 0
-    abstentions: int = 0
-    crashes: int = 0
-    rebuilds: int = 0
-    corruptions: int = 0
+def _replay(d: DynamicLowContentionDictionary, ops) -> None:
+    """Apply one update group to one replica, in order."""
+    for k, ins in ops:
+        if ins:
+            d.insert(k)
+        else:
+            d.delete(k)
 
 
 def _query_batch_levels(levels, xs: np.ndarray, rng) -> np.ndarray:
@@ -111,10 +106,11 @@ def _query_batch_levels(levels, xs: np.ndarray, rng) -> np.ndarray:
     return answers
 
 
-class ReplicatedDynamicDictionary:
+class ReplicatedDynamicDictionary(ReplicaSet):
     """R lockstep dynamic replicas with voted reads and epoch versioning."""
 
     name = "replicated-dynamic"
+    _arm_hint = "construct with armed=True"
 
     def __init__(
         self,
@@ -126,10 +122,8 @@ class ReplicatedDynamicDictionary:
         verify_rebuilds: bool = False,
         armed: bool = False,
     ):
-        if replicas < 1:
-            raise ParameterError("replicas must be >= 1")
+        super().__init__(replicas)
         self.universe_size = int(universe_size)
-        self.replicas = int(replicas)
         self.seed = int(seed)
         self.max_trials = int(max_trials)
         self.min_level_width = int(min_level_width)
@@ -138,7 +132,6 @@ class ReplicatedDynamicDictionary:
         # mirroring FaultConfig.armed on the static stack.
         self.armed = bool(armed)
         self.epochs = EpochManager()
-        self.fault_stats = DynamicFaultStats()
         self._crashed: set[int] = set()
         #: The retained update log: one tuple of ``(key, is_insert)``
         #: ops per applied group (one epoch advance each).
@@ -198,14 +191,8 @@ class ReplicatedDynamicDictionary:
         for k, _ in ops:
             if not 0 <= k < self.universe_size:
                 raise ParameterError(f"key {k} outside universe")
-        for r, d in enumerate(self._replicas):
-            if r in self._crashed:
-                continue
-            for k, ins in ops:
-                if ins:
-                    d.insert(k)
-                else:
-                    d.delete(k)
+        for r in self.live_replicas():
+            _replay(self._replicas[r], ops)
         self._log.append(tuple(ops))
         return self.epochs.advance()
 
@@ -225,20 +212,8 @@ class ReplicatedDynamicDictionary:
 
     # -- fault hooks (chaos schedules / healing) ---------------------------------
 
-    def _require_armed(self) -> None:
-        if not self.armed:
-            raise HealError(
-                f"{self.name} fault hooks are not armed; construct with "
-                "armed=True to crash/corrupt replicas dynamically"
-            )
-
-    def _check_replica(self, replica: int) -> int:
-        r = int(replica)
-        if not 0 <= r < self.replicas:
-            raise ParameterError(
-                f"replica {r} out of range [0, {self.replicas})"
-            )
-        return r
+    def _available(self, replica: int) -> bool:
+        return replica not in self._crashed
 
     def crash_replica(self, replica: int) -> None:
         """Crash ``replica`` now: it loses its levels and stops applying."""
@@ -269,11 +244,7 @@ class ReplicatedDynamicDictionary:
         else:
             d = self._fresh_replica(r)
         for group in self._log:
-            for k, ins in group:
-                if ins:
-                    d.insert(k)
-                else:
-                    d.delete(k)
+            _replay(d, group)
         self._replicas[r] = d
         self._crashed.discard(r)
         self.fault_stats.rebuilds += 1
@@ -299,10 +270,6 @@ class ReplicatedDynamicDictionary:
         row, col = divmod(int(flat) % table.num_cells, table.s)
         table._cells[row, col] ^= np.uint64(mask)
         self.fault_stats.corruptions += 1
-
-    def live_replicas(self) -> list[int]:
-        """Replica indices that are not crashed."""
-        return [r for r in range(self.replicas) if r not in self._crashed]
 
     # -- log compaction & snapshots (the durability substrate) -------------------
 
@@ -447,11 +414,7 @@ class ReplicatedDynamicDictionary:
         for group in payload.get("suffix", []):
             ops = [(int(k), bool(ins)) for k, ins in group]
             for d in inst._replicas:
-                for k, ins in ops:
-                    if ins:
-                        d.insert(k)
-                    else:
-                        d.delete(k)
+                _replay(d, ops)
             inst._log.append(tuple(ops))
             inst.epochs.advance()
             replayed += len(ops)
@@ -504,28 +467,6 @@ class ReplicatedDynamicDictionary:
 
     # -- voted reads -------------------------------------------------------------
 
-    def _vote(self, voters, read, shape=()) -> np.ndarray:
-        """Majority of ``read(r)`` over ``voters``; ties resolve to False.
-
-        A replica whose read raises one of the detected failures
-        (the static replicated dictionary's ``_REPLICA_FAILURES``)
-        abstains; no voter at all raises
-        :class:`~repro.errors.FaultExhaustedError`.
-        """
-        votes_true = np.zeros(shape, dtype=np.int64)
-        count = 0
-        for r in voters:
-            try:
-                answers = read(r)
-            except _REPLICA_FAILURES:
-                self.fault_stats.abstentions += 1
-                continue
-            votes_true += answers
-            count += 1
-        if count == 0:
-            raise FaultExhaustedError(self.replicas)
-        return votes_true * 2 > count
-
     def query(self, x: int, rng=None) -> bool:
         """Majority vote across live replicas (all probes charged)."""
         rng = as_generator(rng)
@@ -549,11 +490,7 @@ class ReplicatedDynamicDictionary:
         Raises :class:`~repro.errors.ReplicaUnavailableError` when the
         chosen replica is crashed, so dispatchers can fail over.
         """
-        r = self._check_replica(replica)
-        if r in self._crashed:
-            self.fault_stats.crash_hits += 1
-            raise ReplicaUnavailableError(r)
-        return self._replicas[r].query_batch(xs, rng)
+        return self._replicas[self._guard(replica)].query_batch(xs, rng)
 
     # -- ground truth ------------------------------------------------------------
 
@@ -601,11 +538,9 @@ class ReplicatedDynamicDictionary:
         rng = as_generator(rng)
         xs = np.asarray(xs, dtype=np.int64)
         levels = pin.snapshot["levels"]
-        voters = [r for r in levels if r not in self._crashed]
-        self.fault_stats.crash_hits += len(levels) - len(voters)
         return self._vote(
-            voters, lambda r: _query_batch_levels(levels[r], xs, rng),
-            xs.shape,
+            self._voters(levels),
+            lambda r: _query_batch_levels(levels[r], xs, rng), xs.shape,
         )
 
     # -- accounting / introspection ----------------------------------------------
@@ -654,7 +589,7 @@ class ReplicatedDynamicDictionary:
             "recovery_probes": self.recovery_probes,
             "space_words": self.space_words,
             **{f"epoch_{k}": v for k, v in self.epochs.stats().items()},
-            **dataclasses.asdict(self.fault_stats),
+            **self.fault_stats.row(),
         }
         return out
 

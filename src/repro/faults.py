@@ -21,9 +21,10 @@ This module makes unreliability *injectable, seeded, and accounted*:
   that corrupts values on the way *out* of ``read``/``read_batch``.
   Every probe is still charged to the real counter at the real cell:
   faults change what a query *sees*, never what it *cost*.
-- :class:`FaultStats` — mutable counters for the fault-tolerant query
-  paths (retries, exponential-backoff cost in probe-equivalents,
-  crashes hit, exhaustion events).
+- :class:`FaultStats` — mutable counters of every replica set
+  (:class:`~repro.dictionaries.replicated.ReplicaSet`): detected
+  failures, crashes hit, retries and backoff cost in probe-equivalents,
+  exhaustion events, and chaos crashes/rebuilds/corruptions.
 
 With ``FaultConfig()`` (all rates zero) nothing is wrapped anywhere and
 every code path is byte-identical to the fault-free library — the
@@ -217,14 +218,21 @@ class FaultConfig:
 
 @dataclasses.dataclass
 class FaultStats:
-    """Counters maintained by fault-aware query paths."""
+    """Counters of one replica set's fault paths and chaos hooks.
 
-    reads: int = 0
+    ``corrupted_reads`` counts detected replica failures (abstaining
+    voters included); ``crashes``/``rebuilds``/``corruptions`` count
+    chaos-hook calls, one per replica or damaged cell.
+    """
+
     corrupted_reads: int = 0
     crash_hits: int = 0
     retries: int = 0
     backoff_probes: int = 0
     exhausted: int = 0
+    crashes: int = 0
+    rebuilds: int = 0
+    corruptions: int = 0
 
     def reset(self) -> None:
         """Zero every counter."""

@@ -61,11 +61,7 @@ from repro.parallel.shm import (
     verify_header,
     write_header,
 )
-from repro.parallel.worker import (
-    attach_replicated,
-    pack_answers,
-    unpack_answers,
-)
+from repro.parallel.worker import pack_answers, unpack_answers
 
 __all__ = [
     "DEFAULT_MAX_STEPS",
@@ -85,7 +81,6 @@ __all__ = [
     "ShmProbeCounter",
     "WorkerHandle",
     "WorkerPool",
-    "attach_replicated",
     "attach_segment",
     "attach_table",
     "build_parallel_service",

@@ -42,7 +42,6 @@ import numpy as np
 from repro.cellprobe.counters import ProbeCounter  # noqa: F401  (doc link)
 from repro.dictionaries.replicated import ReplicatedDictionary
 from repro.errors import RingFullError
-from repro.faults import FaultStats
 from repro.parallel.ring import (
     FRAME_QUERY,
     FRAME_RESPONSE,
@@ -54,33 +53,6 @@ from repro.parallel.shm import ShmProbeCounter, attach_segment, attach_table
 #: Idle-loop backoff bounds (seconds): spin fast, then yield politely.
 _IDLE_MIN = 1e-5
 _IDLE_MAX = 2e-3
-
-
-def attach_replicated(
-    inner, replicas: int, table
-) -> ReplicatedDictionary:
-    """Wire a :class:`ReplicatedDictionary` facade over an attached table.
-
-    The normal constructor would *copy* the inner rows R times; here the
-    replicated cells already live in the shared segment, so the facade
-    is assembled field by field around the zero-copy ``table`` — same
-    query algorithm, same probe accounting, no allocation.
-    """
-    d = object.__new__(ReplicatedDictionary)
-    d.inner = inner
-    d.replicas = int(replicas)
-    d.mode = "random"
-    d.max_retries = 3
-    d.universe_size = inner.universe_size
-    d.keys = inner.keys
-    d.name = f"replicated({inner.name}, R={replicas})[shm]"
-    d._inner_rows = inner.table.rows
-    d.table = table
-    d.fault_stats = FaultStats()
-    d.faults = None
-    d._injector = None
-    d._read_table = table
-    return d
 
 
 def pack_answers(answers: np.ndarray) -> np.ndarray:
@@ -125,9 +97,9 @@ def serve(spec: dict) -> int:
         segments.extend([counter_seg, table_seg])
         counter = ShmProbeCounter(counter_seg)
         table = attach_table(table_seg, counter)
-        dicts.append(
-            attach_replicated(shard["inner"], shard["replicas"], table)
-        )
+        dicts.append(ReplicatedDictionary.over_table(
+            shard["inner"], shard["replicas"], table
+        ))
         counters.append(counter)
     req.set_ready()
     delay = _IDLE_MIN

@@ -477,7 +477,7 @@ def require_armed(service: ShardedDictionaryService) -> None:
     misconfigured run fails before any traffic is served.
     """
     for shard, d in enumerate(service.shards):
-        if d._injector is None:
+        if not d.armed:
             raise HealError(
                 f"shard {shard} has no fault layer; build the service "
                 f"with FaultConfig(armed=True) to run chaos schedules"

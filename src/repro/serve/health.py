@@ -321,8 +321,7 @@ class HealthManager:
             return
         alarms = hub.alarms
         shard = hub.watch_shard
-        d = self.service.shards[shard]
-        block = d.inner_rows * d.table.s
+        block = self.service.shards[shard].inner_cells
         while self._alarm_cursor < len(alarms):
             alarm = alarms[self._alarm_cursor]
             self._alarm_cursor += 1

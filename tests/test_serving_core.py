@@ -87,6 +87,23 @@ DYNAMIC_ROW = {
 }
 
 
+#: Per-shard keys of ``DynamicShardedService.stats_row()``: the replica
+#: set's own counters, its epoch manager's, and the shared FaultStats
+#: record (``corrupted_reads`` counts abstaining voters).
+DYNAMIC_SHARD_KEYS = (
+    "replicas", "live_replicas", "updates", "log_retained",
+    "log_compacted", "compactions", "recovery_probes", "space_words",
+    "epoch_epoch", "epoch_pinned", "epoch_retired_total",
+    "epoch_reclaimed_total", "epoch_retained", "epoch_retained_words",
+    "epoch_peak_retained",
+    "corrupted_reads", "crash_hits", "retries", "backoff_probes",
+    "exhausted", "crashes", "rebuilds", "corruptions",
+)
+DYNAMIC_STATS_ROW = DYNAMIC_ROW | {
+    "pending_updates", "update_log_entries", "compactions", "checkpoints",
+} | {f"shard{i}_{k}" for i in range(SHARDS) for k in DYNAMIC_SHARD_KEYS}
+
+
 def test_stats_rows_and_capabilities_are_pinned(instance):
     keys, N, _ = instance
     static = _static(keys, N)
@@ -99,6 +116,7 @@ def test_stats_rows_and_capabilities_are_pinned(instance):
         assert service_capabilities(fabric) == frozenset(("capacity",))
     dynamic = build_dynamic_service(N, num_shards=SHARDS, seed=3)
     assert set(dynamic.stats.row()) == DYNAMIC_ROW
+    assert set(dynamic.stats_row()) == DYNAMIC_STATS_ROW
     assert service_capabilities(dynamic) == frozenset(
         ("capacity", "update-capacity")
     )
