@@ -24,12 +24,40 @@ class ProbeCounter:
 
     Step arrays are allocated lazily: most schemes probe a bounded number
     of steps, but the counter does not need to know the bound up front.
+    A running total is kept beside them, so :meth:`total_probes` is O(1)
+    and a per-dispatch delta never re-sums the step arrays.
     """
 
     def __init__(self, num_cells: int):
         self.num_cells = check_positive_integer("num_cells", num_cells)
         self._per_step: list[np.ndarray] = []
+        self._total = 0
         self.executions = 0
+
+    @classmethod
+    def from_counts(
+        cls, num_cells: int, per_step, executions: int = 0
+    ) -> "ProbeCounter":
+        """A counter holding copies of ``per_step`` rows and ``executions``."""
+        out = cls(num_cells)
+        out._per_step = [
+            np.array(row, dtype=np.int64, copy=True) for row in per_step
+        ]
+        out._total = int(sum(int(row.sum()) for row in out._per_step))
+        out.executions = int(executions)
+        return out
+
+    def __setstate__(self, state: dict) -> None:
+        # Counters pickled before the running total existed (inside older
+        # checkpoints) carry only their step rows; rebuild the total.
+        self.__dict__.update(state)
+        if "_total" not in state:
+            self._total = int(sum(int(row.sum()) for row in self._per_step))
+
+    def _grow_to(self, step: int) -> None:
+        """Allocate every step row up to and including ``step``."""
+        while len(self._per_step) <= step:
+            self._per_step.append(np.zeros(self.num_cells, dtype=np.int64))
 
     # -- recording -------------------------------------------------------------
 
@@ -41,12 +69,17 @@ class ProbeCounter:
             raise ParameterError(
                 f"cell {flat_cell} out of range [0, {self.num_cells})"
             )
-        while len(self._per_step) <= step:
-            self._per_step.append(np.zeros(self.num_cells, dtype=np.int64))
+        self._grow_to(step)
         self._per_step[step][flat_cell] += 1
+        self._total += 1
 
     def record_batch(self, step: int, flat_cells: np.ndarray) -> None:
         """Record one probe per non-negative entry of ``flat_cells``.
+
+        A 1-D ``flat_cells`` is charged at ``step``; a 2-D one of shape
+        ``(k, batch)`` charges its row ``i`` at ``step + i`` (k
+        consecutive steps in one call).  Step rows up to the last one
+        named are allocated even when all of their entries are skipped.
 
         Negative entries are *skipped entirely*: they charge no probe to
         any cell and they do not advance :attr:`executions` (only
@@ -58,12 +91,17 @@ class ProbeCounter:
         if step < 0:
             raise ParameterError("step must be non-negative")
         flat_cells = np.asarray(flat_cells, dtype=np.int64)
-        active = flat_cells >= 0
-        if np.any(flat_cells[active] >= self.num_cells):
+        if flat_cells.ndim != 2:
+            flat_cells = flat_cells.reshape(1, -1)
+        if flat_cells.size and int(flat_cells.max()) >= self.num_cells:
             raise ParameterError("cell index out of range in batch")
-        while len(self._per_step) <= step:
-            self._per_step.append(np.zeros(self.num_cells, dtype=np.int64))
-        np.add.at(self._per_step[step], flat_cells[active], 1)
+        skips = bool(flat_cells.size) and int(flat_cells.min()) < 0
+        self._grow_to(step + flat_cells.shape[0] - 1)
+        for i, row in enumerate(flat_cells):
+            if skips:
+                row = row[row >= 0]
+            np.add.at(self._per_step[step + i], row, 1)
+            self._total += row.size
 
     def finish_execution(self, count: int = 1) -> None:
         """Mark ``count`` completed query executions (the normalizer)."""
@@ -92,10 +130,10 @@ class ProbeCounter:
                 f"cannot merge counter over {other.num_cells} cells into "
                 f"one over {self.num_cells}"
             )
-        while len(self._per_step) < len(other._per_step):
-            self._per_step.append(np.zeros(self.num_cells, dtype=np.int64))
+        self._grow_to(len(other._per_step) - 1)
         for step, counts in enumerate(other._per_step):
             self._per_step[step] += counts
+        self._total += other._total
         self.executions += other.executions
         return self
 
@@ -140,8 +178,8 @@ class ProbeCounter:
         return float(per.max(initial=0.0)) if per.size else 0.0
 
     def total_probes(self) -> int:
-        """Total probes recorded across all steps and cells."""
-        return int(sum(int(a.sum()) for a in self._per_step))
+        """Total probes recorded across all steps and cells (O(1))."""
+        return self._total
 
     def digest(self) -> str:
         """SHA-256 over the exact accounting state (steps, counts, E).
@@ -159,4 +197,5 @@ class ProbeCounter:
     def reset(self) -> None:
         """Clear all counts and the execution counter."""
         self._per_step = []
+        self._total = 0
         self.executions = 0

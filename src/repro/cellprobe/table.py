@@ -104,43 +104,53 @@ class Table:
     def read_batch(
         self, rows: np.ndarray | int, columns: np.ndarray, step: int
     ) -> np.ndarray:
-        """Probe many cells at the same query step and return their values.
+        """Probe many cells at one or more query steps and return their values.
 
         ``rows`` broadcasts against ``columns`` (pass a scalar row to probe
-        one row at many columns).  Entries with ``column < 0`` are *skipped*:
-        no probe is charged and :data:`EMPTY_CELL` is returned in their
-        place — this is how batched query algorithms express per-key steps
-        that the scalar algorithm would not execute (e.g. a second cuckoo
-        probe after a first-table hit).
-
-        All executed probes are charged to the counter under step index
-        ``step`` via one :meth:`ProbeCounter.record_batch` call.
+        one row at many columns).  A 1-D ``columns`` probes at ``step``; a
+        2-D one of shape ``(k, batch)`` (with ``rows`` shaped ``(k, 1)``)
+        probes its row ``i`` at step ``step + i`` — k consecutive steps
+        fused into one bounds check, one gather and one
+        :meth:`ProbeCounter.record_batch`, charged exactly as k 1-D calls.
+        Entries with ``column < 0`` are *skipped*: no probe is charged and
+        :data:`EMPTY_CELL` is returned in their place — this is how batched
+        query algorithms express per-key steps that the scalar algorithm
+        would not execute (e.g. a second cuckoo probe after a first-table
+        hit).  With the bus active, one :class:`ProbeEvent` is emitted per
+        step, in step order.
         """
         columns = np.asarray(columns, dtype=np.int64)
-        rows_arr = np.broadcast_to(
-            np.asarray(rows, dtype=np.int64), columns.shape
-        )
+        rows = np.asarray(rows, dtype=np.int64)
+        rows_arr = np.broadcast_to(rows, columns.shape)
         active = columns >= 0
-        if bool(np.any(active)):
-            r_act = rows_arr[active]
-            c_act = columns[active]
-            if r_act.size and (
-                int(r_act.min()) < 0
-                or int(r_act.max()) >= self.rows
-                or int(c_act.max()) >= self.s
-            ):
-                raise TableError(
-                    f"batch probe out of range for table "
-                    f"({self.rows} rows x {self.s} cells)"
-                )
-        flat = np.where(active, rows_arr * self.s + columns, -1)
+        all_active = bool(active.all())
+        if all_active:
+            r_act, c_act = rows, columns
+        else:
+            r_act, c_act = rows_arr[active], columns[active]
+        if c_act.size and (
+            int(r_act.min()) < 0
+            or int(r_act.max()) >= self.rows
+            or int(c_act.max()) >= self.s
+        ):
+            raise TableError(
+                f"batch probe out of range for table "
+                f"({self.rows} rows x {self.s} cells)"
+            )
+        flat = rows_arr * self.s + columns
+        if not all_active:
+            flat = np.where(active, flat, -1)
         self.counter.record_batch(step, flat)
         if BUS.active:
-            BUS.emit(ProbeEvent(step=step, probes=int(np.count_nonzero(active))))
-        out = np.full(columns.shape, EMPTY_CELL, dtype=np.uint64)
-        if bool(np.any(active)):
-            out[active] = self._cells[rows_arr[active], columns[active]]
-        return out
+            steps = active if active.ndim == 2 else active.reshape(1, -1)
+            for i, hits in enumerate(steps):
+                BUS.emit(ProbeEvent(
+                    step=step + i, probes=int(np.count_nonzero(hits))
+                ))
+        out = self._cells.take(flat)
+        if all_active:
+            return out
+        return np.where(active, out, np.uint64(EMPTY_CELL))
 
     # -- misc ------------------------------------------------------------------
 

@@ -134,11 +134,13 @@ class LowContentionDictionary(StaticDictionary):
         table = self.table
         d = p.degree
 
-        # Phase 1: recover f, g from random cells of the coefficient rows.
-        words = [
-            table.read_batch(i, rng.integers(0, p.s, size=batch), i)
-            for i in range(2 * d)
-        ]
+        # Phase 1: recover f, g from random cells of the coefficient rows
+        # (steps 0..2d-1 in one fused read; columns drawn row by row).
+        words = table.read_batch(
+            np.arange(2 * d)[:, None],
+            np.stack([rng.integers(0, p.s, size=batch) for _ in range(2 * d)]),
+            0,
+        )
         fx = horner_eval_batch(words[:d], xs, self.prime, p.s)
         gx = horner_eval_batch(words[d:], xs, self.prime, p.r)
         z_copies = (p.s - gx + p.r - 1) // p.r
@@ -150,22 +152,18 @@ class LowContentionDictionary(StaticDictionary):
         group = hx % p.m
         member = hx // p.m
 
-        # Phase 2: GBAS and the group histogram.
-        k = rng.integers(0, p.group_size, size=batch)
-        gbas = table.read_batch(
-            p.gbas_row, group + k * p.m, 2 * d + 1
-        ).astype(np.int64)
-        hist_words = np.stack(
-            [
-                table.read_batch(
-                    row,
-                    group + rng.integers(0, p.group_size, size=batch) * p.m,
-                    2 * d + 2 + i,
-                )
-                for i, row in enumerate(p.histogram_rows)
-            ],
-            axis=1,
+        # Phase 2: GBAS and the group histogram (steps 2d+1..2d+1+rho in
+        # one fused read; replica offsets drawn row by row).
+        meta_rows = [p.gbas_row, *p.histogram_rows]
+        meta = table.read_batch(
+            np.array(meta_rows)[:, None],
+            group + np.stack([
+                rng.integers(0, p.group_size, size=batch) for _ in meta_rows
+            ]) * p.m,
+            2 * d + 1,
         )
+        gbas = meta[0].astype(np.int64)
+        hist_words = meta[1:].T
         member_loads = decode_unary_histogram_batch(
             hist_words, p.group_size, p.word_bits
         )

@@ -163,7 +163,8 @@ class DynamicLowContentionDictionary:
 
     @property
     def live_count(self) -> int:
-        return len(self._levels.live_keys())
+        """Number of live keys (O(1); no probes)."""
+        return self._levels.live_count
 
     def live_keys(self) -> np.ndarray:
         """The current key set, sorted (ground truth; no probes)."""

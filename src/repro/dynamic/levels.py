@@ -146,6 +146,9 @@ class LevelStructure:
         self.encoded_universe = 2 * self.universe_size
         self.rng = as_generator(rng)
         self.levels: list[Level | None] = []
+        # Number of live keys, kept current by apply() so the flatten
+        # trigger never has to merge the levels to count them.
+        self._live = 0
         self.account = account
         self.max_trials = max_trials
         # Pad every level's table to at least this many cells per row.
@@ -189,6 +192,20 @@ class LevelStructure:
             for key, is_insert in level.entries.items():
                 seen.setdefault(key, is_insert)
         return sorted(k for k, alive in seen.items() if alive)
+
+    @property
+    def live_count(self) -> int:
+        """Number of live keys (``len(live_keys())``, kept in O(1))."""
+        return self._live
+
+    def replace_levels(self, levels) -> None:
+        """Install a whole level list (crash wipe, restore); recount live keys.
+
+        No level is handed to the retirement hook: the caller owns what
+        it replaces.
+        """
+        self.levels = list(levels)
+        self._live = len(self.live_keys())
 
     @property
     def total_entries(self) -> int:
@@ -286,6 +303,8 @@ class LevelStructure:
         key = int(key)
         if not 0 <= key < self.universe_size:
             raise ParameterError(f"key {key} outside universe")
+        # The key ends up in state is_insert; every other key keeps its own.
+        self._live += int(is_insert) - int(self.state_of(key))
         # Find the first empty level; merge everything newer into it.
         j = 0
         while j < len(self.levels) and self.levels[j] is not None:
@@ -307,9 +326,9 @@ class LevelStructure:
         self._maybe_flatten()
 
     def _maybe_flatten(self) -> None:
-        live = self.live_keys()
         total = self.total_entries
-        if total >= 8 and total > 2 * max(len(live), 1):
+        if total >= 8 and total > 2 * max(self._live, 1):
+            live = self.live_keys()
             for i in range(len(self.levels)):
                 self._retire(self.levels[i])
                 self.levels[i] = None

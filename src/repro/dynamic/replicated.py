@@ -219,9 +219,8 @@ class ReplicatedDynamicDictionary(ReplicaSet):
         """Crash ``replica`` now: it loses its levels and stops applying."""
         self._require_armed()
         r = self._check_replica(replica)
-        d = self._replicas[r]
-        for i in range(len(d._levels.levels)):
-            d._levels.levels[i] = None
+        levels = self._replicas[r]._levels
+        levels.replace_levels([None] * len(levels.levels))
         self._crashed.add(r)
         self.fault_stats.crashes += 1
 
@@ -325,7 +324,7 @@ class ReplicatedDynamicDictionary(ReplicaSet):
         """
         d = self._fresh_replica(r)
         d.rng.bit_generator.state = state["rng_state"]
-        d._levels.levels = list(state["levels"])
+        d._levels.replace_levels(state["levels"])
         d._levels._installs = int(state["installs"])
         d.account = state["account"]
         d._levels.account = d.account

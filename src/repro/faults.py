@@ -461,18 +461,29 @@ class FaultyTable:
         return corrupted
 
     def read_batch(self, rows, columns, step: int) -> np.ndarray:
-        """Charged vectorized read; entries with ``column < 0`` skipped."""
+        """Charged vectorized read; entries with ``column < 0`` skipped.
+
+        A 2-D ``(k, batch)`` read is one fused inner read, corrupted one
+        step row at a time in step order, so the flip stream is the one k
+        single-step reads would draw.  With the bus active, one
+        :class:`FaultEvent` is emitted per step that had a value changed.
+        """
         columns = np.asarray(columns, dtype=np.int64)
         rows_arr = np.broadcast_to(np.asarray(rows, dtype=np.int64), columns.shape)
         values = self._inner.read_batch(rows_arr, columns, step)
-        corrupted = self._injector.corrupt_batch(
-            rows_arr + self._offset, columns, values
-        )
-        if BUS.active:
-            changed = int(np.count_nonzero(corrupted != values))
-            if changed:
-                BUS.emit(FaultEvent(kind="read_batch", count=changed))
-        return corrupted
+        fused = values.ndim == 2
+        if not fused:
+            rows_arr, columns, values = rows_arr[None], columns[None], values[None]
+        corrupted = np.empty_like(values)
+        for i in range(values.shape[0]):
+            corrupted[i] = self._injector.corrupt_batch(
+                rows_arr[i] + self._offset, columns[i], values[i]
+            )
+            if BUS.active:
+                changed = int(np.count_nonzero(corrupted[i] != values[i]))
+                if changed:
+                    BUS.emit(FaultEvent(kind="read_batch", count=changed))
+        return corrupted if fused else corrupted[0]
 
     # -- free accesses (construction/analysis) --------------------------------------
 

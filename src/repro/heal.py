@@ -26,7 +26,8 @@ The rules, enforced here:
 
 Corruption detection is cross-replica majority vote: reading one inner
 row across ``V >= 3`` trusted replicas and sorting the stack column-wise
-puts the majority value at the middle element whenever a strict
+(a compare-exchange network, :func:`_majority`) puts the majority value
+at the middle element whenever a strict
 majority agrees — deviants are repaired in place.  A cell that diverges
 *again* after being repaired is physically stuck-at (the damage is in
 the read path, not the stored word), is recorded in
@@ -119,23 +120,37 @@ def _peek_and_charge(dictionary, counter: ProbeCounter, replicas, inner_row):
     """
     table = dictionary._read_table
     s = dictionary.table.s
-    columns = np.arange(s, dtype=np.int64)
+    outer = np.array(
+        [dictionary.replica_row(r, inner_row) for r in replicas], dtype=np.int64
+    )
     stack = np.empty((len(replicas), s), dtype=np.uint64)
-    for i, r in enumerate(replicas):
-        outer = dictionary.replica_row(r, inner_row)
-        stack[i] = table.peek_row(outer)
-        counter.record_batch(0, outer * s + columns)
+    for i, row in enumerate(outer):
+        stack[i] = table.peek_row(int(row))
+    counter.record_batch(
+        0, (outer[:, None] * s + np.arange(s, dtype=np.int64)).ravel()
+    )
     return stack
 
 
 def _majority(stack: np.ndarray) -> np.ndarray:
-    """Column-wise majority value of a ``(V, s)`` stack.
+    """Column-wise middle value of a ``(V, s)`` stack.
 
-    Sorting each column puts the majority value at the middle element
-    whenever a strict majority of the V rows agree — the only regime the
-    vote is guaranteed in.
+    Equal to ``np.sort(stack, axis=0)[V // 2]`` for every V and every
+    column, computed by an odd-even transposition network of element-wise
+    ``minimum``/``maximum`` compare-exchanges (V rounds sort V rows) —
+    an order of magnitude cheaper than sorting along axis 0.  The middle
+    element is the majority value whenever a strict majority of the V
+    rows agree — the only regime the vote is guaranteed in.
     """
-    return np.sort(stack, axis=0)[stack.shape[0] // 2]
+    rows = list(stack)
+    v = len(rows)
+    for phase in range(v):
+        for i in range(phase % 2, v - 1, 2):
+            rows[i], rows[i + 1] = (
+                np.minimum(rows[i], rows[i + 1]),
+                np.maximum(rows[i], rows[i + 1]),
+            )
+    return rows[v // 2].copy()
 
 
 class CellScrubber:

@@ -254,14 +254,15 @@ def create_counter_segment(
 class ShmProbeCounter(ProbeCounter):
     """A :class:`ProbeCounter` whose per-step matrices live in shared memory.
 
-    Behaviorally identical to the in-process counter — the same lazy
-    step allocation (``record_batch(step)`` allocates every step row up
-    to ``step``, even when all entries are skipped), the same skip
-    contract for negative cells — but each step row is a zero-copy view
-    into a preallocated shared segment, and the allocation high-water
-    mark plus the execution count are mirrored into the segment's
-    control line, so the dispatcher can read the exact accounting state
-    back with :func:`read_counter` and fold it into a global counter via
+    Behaviorally identical to the in-process counter: it inherits
+    ``record``/``record_batch``, the running total and the skip contract
+    for negative cells, and allocates step rows through the
+    :meth:`_grow_to` hook, which hands out zero-copy views into a
+    preallocated shared segment.  The allocation high-water mark and the
+    execution count (after ``finish_execution``, ``merge`` and
+    ``reset``) are mirrored into the segment's control line, so the
+    dispatcher can read the exact accounting state back with
+    :func:`read_counter` and fold it into a global counter via
     :meth:`ProbeCounter.merge`.  ``digest()`` equality with the
     in-process service is the E22 deterministic-equivalence gate.
     """
@@ -280,14 +281,11 @@ class ShmProbeCounter(ProbeCounter):
             (max_steps, num_cells), dtype=np.int64, buffer=seg.buf,
             offset=2 * LINE_WORDS * _WORD,
         )
-        #: Running total of probes charged (cheap per-dispatch delta —
-        #: summing the whole matrix per group would swamp the hot loop).
-        self.probes_charged = 0
         # Resume from whatever a previous attach already recorded.
-        for step in range(int(self._ctrl[_CTRL_STEPS])):
-            self._per_step.append(self._rows[step])
+        steps = int(self._ctrl[_CTRL_STEPS])
+        self._grow_to(steps - 1)
+        self._total = int(self._rows[:steps].sum())
         self.executions = int(self._ctrl[_CTRL_EXECUTIONS])
-        self.probes_charged = int(self.total_probes())
 
     def _grow_to(self, step: int) -> None:
         if step >= self.max_steps:
@@ -299,38 +297,20 @@ class ShmProbeCounter(ProbeCounter):
             self._per_step.append(self._rows[len(self._per_step)])
         self._ctrl[_CTRL_STEPS] = len(self._per_step)
 
-    def record(self, step: int, flat_cell: int) -> None:
-        if step < 0:
-            raise ParameterError("step must be non-negative")
-        if not 0 <= flat_cell < self.num_cells:
-            raise ParameterError(
-                f"cell {flat_cell} out of range [0, {self.num_cells})"
-            )
-        self._grow_to(step)
-        self._per_step[step][flat_cell] += 1
-        self.probes_charged += 1
-
-    def record_batch(self, step: int, flat_cells: np.ndarray) -> None:
-        if step < 0:
-            raise ParameterError("step must be non-negative")
-        flat_cells = np.asarray(flat_cells, dtype=np.int64)
-        active = flat_cells >= 0
-        if np.any(flat_cells[active] >= self.num_cells):
-            raise ParameterError("cell index out of range in batch")
-        self._grow_to(step)
-        np.add.at(self._per_step[step], flat_cells[active], 1)
-        self.probes_charged += int(np.count_nonzero(active))
-
     def finish_execution(self, count: int = 1) -> None:
         super().finish_execution(count)
         self._ctrl[_CTRL_EXECUTIONS] = self.executions
+
+    def merge(self, other: ProbeCounter) -> "ShmProbeCounter":
+        super().merge(other)
+        self._ctrl[_CTRL_EXECUTIONS] = self.executions
+        return self
 
     def reset(self) -> None:
         super().reset()
         self._rows[:] = 0
         self._ctrl[_CTRL_STEPS] = 0
         self._ctrl[_CTRL_EXECUTIONS] = 0
-        self.probes_charged = 0
 
 
 def read_counter(seg: shared_memory.SharedMemory) -> ProbeCounter:
@@ -351,7 +331,6 @@ def read_counter(seg: shared_memory.SharedMemory) -> ProbeCounter:
         (max_steps, num_cells), dtype=np.int64, buffer=seg.buf,
         offset=2 * LINE_WORDS * _WORD,
     )
-    out = ProbeCounter(num_cells)
-    out._per_step = [rows[i].copy() for i in range(int(ctrl[_CTRL_STEPS]))]
-    out.executions = int(ctrl[_CTRL_EXECUTIONS])
-    return out
+    return ProbeCounter.from_counts(
+        num_cells, rows[:int(ctrl[_CTRL_STEPS])], int(ctrl[_CTRL_EXECUTIONS])
+    )

@@ -19,6 +19,20 @@ def test_tutorial_code_blocks_execute(tmp_path, monkeypatch):
         exec(compile(block, f"<tutorial block {i + 1}>", "exec"), namespace)
 
 
+def test_api_md_matches_generator():
+    """docs/API.md is exactly what tools/gen_api_docs.py renders."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "gen_api_docs", ROOT / "tools" / "gen_api_docs.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert (ROOT / "docs" / "API.md").read_text() == gen.render(), (
+        "docs/API.md is stale: run python tools/gen_api_docs.py"
+    )
+
+
 def test_paper_map_symbols_exist():
     """Every `repro.*` dotted path named in docs/PAPER_MAP.md resolves."""
     import importlib

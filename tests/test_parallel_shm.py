@@ -146,7 +146,7 @@ def test_shm_counter_digest_matches_in_process():
         _drive(plain)
         _drive(shm)
         assert shm.num_steps == plain.num_steps == 5
-        assert shm.probes_charged == plain.total_probes() == 4
+        assert shm.total_probes() == plain.total_probes() == 4
         assert shm.digest() == plain.digest()
         assert read_counter(seg).digest() == plain.digest()
     finally:
@@ -161,7 +161,7 @@ def test_shm_counter_merge_and_resume():
         # A fresh attach of the same segment resumes the exact state.
         resumed = ShmProbeCounter(seg)
         assert resumed.num_steps == 5
-        assert resumed.probes_charged == 4
+        assert resumed.total_probes() == 4
         assert resumed.digest() == shm.digest()
         # Merging two worker copies doubles every count.
         merged = ProbeCounter(8)
@@ -189,7 +189,7 @@ def test_shm_counter_reset_clears_segment():
         shm = ShmProbeCounter(seg)
         shm.record(2, 1)
         shm.reset()
-        assert shm.num_steps == 0 and shm.probes_charged == 0
+        assert shm.num_steps == 0 and shm.total_probes() == 0
         assert read_counter(seg).total_probes() == 0
     finally:
         destroy_segment(seg)

@@ -34,6 +34,26 @@ def signature_of(obj) -> str:
         return "(...)"
 
 
+def class_members(cls) -> list[str]:
+    """One bullet per public method, classmethod, staticmethod or property."""
+    out = []
+    for name, member in sorted(vars(cls).items()):
+        if name.startswith("_"):
+            continue
+        doc = inspect.getdoc(getattr(cls, name, None))
+        if isinstance(member, property):
+            out.append(f"- property `{name}` — {first_paragraph(doc)}")
+        elif isinstance(member, (classmethod, staticmethod)):
+            kind = type(member).__name__
+            sig = signature_of(getattr(cls, name))
+            out.append(f"- {kind} `{name}{sig}` — {first_paragraph(doc)}")
+        elif inspect.isfunction(member):
+            out.append(
+                f"- `{name}{signature_of(member)}` — {first_paragraph(doc)}"
+            )
+    return out
+
+
 def walk_modules():
     yield repro
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
@@ -68,18 +88,9 @@ def render() -> str:
                 lines.append("")
                 lines.append(first_paragraph(obj.__doc__))
                 lines.append("")
-                for meth_name, meth in sorted(vars(obj).items()):
-                    if meth_name.startswith("_") or not inspect.isfunction(meth):
-                        continue
-                    doc = inspect.getdoc(getattr(obj, meth_name))
-                    lines.append(
-                        f"- `{meth_name}{signature_of(meth)}` — "
-                        f"{first_paragraph(doc)}"
-                    )
-                if any(
-                    not mn.startswith("_") and inspect.isfunction(mv)
-                    for mn, mv in vars(obj).items()
-                ):
+                entries = class_members(obj)
+                lines.extend(entries)
+                if entries:
                     lines.append("")
             else:
                 lines.append(
